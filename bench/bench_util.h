@@ -10,7 +10,6 @@
  */
 
 #include <cmath>
-#include <fstream>
 #include <iostream>
 #include <string>
 #include <vector>
@@ -21,7 +20,6 @@
 #include "elasticrec/hw/platform.h"
 #include "elasticrec/model/dlrm_config.h"
 #include "elasticrec/obs/export.h"
-#include "elasticrec/obs/perfetto.h"
 #include "elasticrec/sim/experiment.h"
 
 namespace erec::bench {
@@ -90,17 +88,13 @@ exportSimMetrics(const std::string &dir, const std::string &stem,
 {
     if (dir.empty())
         return;
-    const auto &traces = sim.traces();
+    const auto &spans = sim.spans();
     obs::ExportArtifacts artifacts;
-    artifacts.traces = traces.empty() ? nullptr : &traces;
+    artifacts.spans = spans.empty() ? nullptr : &spans;
     artifacts.alerts = &sim.alertEvents();
     obs::writeMetricsFiles(dir, stem, sim.observability(), artifacts);
-    if (!traces.empty()) {
-        std::ofstream perfetto(dir + "/" + stem + "_perfetto.json");
-        obs::writePerfettoJson(perfetto, traces);
-    }
     std::cout << "telemetry: " << dir << "/" << stem << ".prom";
-    if (!traces.empty())
+    if (!spans.empty())
         std::cout << " (+" << stem << "_traces.jsonl, +" << stem
                   << "_perfetto.json)";
     std::cout << " (+" << stem << "_alerts.jsonl)\n";

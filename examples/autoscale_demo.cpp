@@ -77,9 +77,9 @@ exportTelemetry(const std::string &dir, const std::string &stem,
 {
     if (dir.empty())
         return;
-    const auto &traces = sim.traces();
+    const auto &spans = sim.spans();
     obs::ExportArtifacts artifacts;
-    artifacts.traces = traces.empty() ? nullptr : &traces;
+    artifacts.spans = spans.empty() ? nullptr : &spans;
     artifacts.alerts = &sim.alertEvents();
     obs::writeMetricsFiles(dir, stem, sim.observability(), artifacts);
     std::cout << "  telemetry: " << dir << "/" << stem << ".prom\n";

@@ -105,9 +105,12 @@ stage_arch() {
 # clean), and trace_overhead_pct — the traced-vs-untraced QPS delta —
 # must stay at or below the 5% baseline ceiling. Then self-test the
 # trace gate by inflating trace_overhead_pct in a copy of the current
-# results: a gate that cannot fail is not a gate. Set
-# ELASTICREC_BENCH_OUT to keep BENCH_serving.json (CI uploads it as an
-# artifact); by default a temp dir is used and removed.
+# results: a gate that cannot fail is not a gate. Finally build the
+# repo benchmark (perfbench/, its own stand-alone CMake project) in
+# its own tree and run perfbench_selftest, the synthetic checks of the
+# benchmark's statistics. Set ELASTICREC_BENCH_OUT to keep
+# BENCH_serving.json (CI uploads it as an artifact); by default a temp
+# dir is used and removed.
 stage_bench() {
     local tree="$repo_root/build-check-release"
     cmake -B "$tree" -S "$repo_root" "${cmake_launcher_args[@]}" \
@@ -148,6 +151,12 @@ stage_bench() {
         cat "$out/benchdiff-inflated.txt" >&2
         exit 1
     fi
+
+    local perfbench_tree="$repo_root/build-check-perfbench"
+    cmake -B "$perfbench_tree" -S "$repo_root/perfbench" \
+        "${cmake_launcher_args[@]}" -DCMAKE_BUILD_TYPE=Release
+    cmake --build "$perfbench_tree" -j "$jobs" --target perfbench_selftest
+    "$perfbench_tree/perfbench_selftest"
 }
 
 # Kernel-backend perf gate: run the per-backend gather-pool / GEMM
@@ -405,11 +414,12 @@ stage_tsan_stress() {
         --repeat until-fail:3
 }
 
-# End-to-end smoke: run the quickstart example and the Figure 19 bench
-# with --metrics-out and full causal tracing (--trace-sample 100 =
-# every 100th query), validate every emitted telemetry file
-# (Prometheus text, trace/alert JSON-lines against erec_trace/v1, and
-# the Perfetto export) with promcheck, then render the run report —
+# End-to-end smoke: run the quickstart example, the Figure 19 bench
+# with --metrics-out and causal tracing (--trace-sample 100 = every
+# 100th query), and a short traced native serving run, validate every
+# emitted telemetry file (Prometheus text, trace/alert JSON-lines
+# against erec_trace/v2, and the Perfetto exports) with promcheck,
+# then render the run report for simulated and native runs alike —
 # stage sketches plus the critical-path table — and gate on the
 # "lost-queries" alert — steady fig19 traffic must never lose a query.
 # (The SLA-ratio and p95 alerts legitimately fire during fig19's
@@ -422,7 +432,8 @@ stage_smoke() {
     cmake -B "$tree" -S "$repo_root" \
         -DCMAKE_BUILD_TYPE=RelWithDebInfo -DELASTICREC_WERROR=ON
     cmake --build "$tree" -j "$jobs" \
-        --target quickstart fig19_dynamic_traffic promcheck erec_report
+        --target quickstart fig19_dynamic_traffic serving_throughput \
+        promcheck erec_report
     local out
     if [ -n "${ELASTICREC_SMOKE_OUT:-}" ]; then
         out="$ELASTICREC_SMOKE_OUT"
@@ -434,6 +445,9 @@ stage_smoke() {
     "$tree/examples/quickstart" --metrics-out "$out"
     "$tree/bench/fig19_dynamic_traffic" --metrics-out "$out" \
         --trace-sample 100
+    "$tree/bench/serving_throughput" --quick --threads 2 \
+        --trace-sample 10 --metrics-out "$out" \
+        --out "$out/BENCH_serving.json"
     "$tree/tools/promcheck/promcheck" "$out"/*.prom "$out"/*.jsonl \
         "$out"/*_perfetto.json
     "$tree/tools/report/erec_report" "$out" \

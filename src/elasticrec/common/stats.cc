@@ -1,120 +1,8 @@
 #include "elasticrec/common/stats.h"
 
 #include <algorithm>
-#include <cmath>
-
-#include "elasticrec/common/error.h"
 
 namespace erec {
-
-void
-RunningStat::add(double x)
-{
-    ++n_;
-    sum_ += x;
-    if (n_ == 1) {
-        mean_ = min_ = max_ = x;
-        m2_ = 0.0;
-        return;
-    }
-    const double delta = x - mean_;
-    mean_ += delta / static_cast<double>(n_);
-    m2_ += delta * (x - mean_);
-    min_ = std::min(min_, x);
-    max_ = std::max(max_, x);
-}
-
-double
-RunningStat::variance() const
-{
-    return n_ > 1 ? m2_ / static_cast<double>(n_ - 1) : 0.0;
-}
-
-double
-RunningStat::stddev() const
-{
-    return std::sqrt(variance());
-}
-
-void
-RunningStat::reset()
-{
-    *this = RunningStat();
-}
-
-void
-PercentileTracker::add(double x)
-{
-    samples_.push_back(x);
-    sorted_ = false;
-}
-
-double
-PercentileTracker::quantile(double q) const
-{
-    ERC_CHECK(q >= 0.0 && q <= 1.0, "quantile must be in [0, 1]");
-    if (samples_.empty())
-        return 0.0;
-    if (!sorted_) {
-        std::sort(samples_.begin(), samples_.end());
-        sorted_ = true;
-    }
-    const double rank = q * static_cast<double>(samples_.size() - 1);
-    const auto lo = static_cast<std::size_t>(rank);
-    const std::size_t hi = std::min(lo + 1, samples_.size() - 1);
-    const double frac = rank - static_cast<double>(lo);
-    return samples_[lo] * (1.0 - frac) + samples_[hi] * frac;
-}
-
-double
-PercentileTracker::mean() const
-{
-    if (samples_.empty())
-        return 0.0;
-    double s = 0.0;
-    for (double x : samples_)
-        s += x;
-    return s / static_cast<double>(samples_.size());
-}
-
-void
-PercentileTracker::reset()
-{
-    samples_.clear();
-    sorted_ = true;
-}
-
-void
-WindowedPercentile::add(SimTime t, double x)
-{
-    samples_.emplace_back(t, x);
-}
-
-void
-WindowedPercentile::expire(SimTime now)
-{
-    const SimTime cutoff = now - window_;
-    while (!samples_.empty() && samples_.front().first < cutoff)
-        samples_.pop_front();
-}
-
-double
-WindowedPercentile::quantile(SimTime now, double q)
-{
-    expire(now);
-    if (samples_.empty())
-        return 0.0;
-    std::vector<double> vals;
-    vals.reserve(samples_.size());
-    for (const auto &[t, v] : samples_)
-        vals.push_back(v);
-    std::sort(vals.begin(), vals.end());
-    const double rank = q * static_cast<double>(vals.size() - 1);
-    const auto lo = static_cast<std::size_t>(rank);
-    const std::size_t hi = std::min(lo + 1, vals.size() - 1);
-    const double frac = rank - static_cast<double>(lo);
-    return vals[lo] * (1.0 - frac) + vals[hi] * frac;
-}
 
 void
 RateWindow::add(SimTime t, std::uint64_t count)
@@ -162,44 +50,6 @@ TimeSeries::meanValue() const
     for (const auto &[t, v] : points_)
         s += v;
     return s / static_cast<double>(points_.size());
-}
-
-Histogram::Histogram(double lo, double hi, std::size_t buckets)
-    : lo_(lo), hi_(hi),
-      width_((hi - lo) / static_cast<double>(buckets)),
-      counts_(buckets, 0)
-{
-    ERC_CHECK(hi > lo, "Histogram range must be non-empty");
-    ERC_CHECK(buckets > 0, "Histogram needs at least one bucket");
-}
-
-void
-Histogram::add(double x)
-{
-    ++total_;
-    if (x < lo_) {
-        ++underflow_;
-        return;
-    }
-    if (x >= hi_) {
-        ++overflow_;
-        return;
-    }
-    auto idx = static_cast<std::size_t>((x - lo_) / width_);
-    idx = std::min(idx, counts_.size() - 1);
-    ++counts_[idx];
-}
-
-double
-Histogram::bucketLow(std::size_t i) const
-{
-    return lo_ + width_ * static_cast<double>(i);
-}
-
-double
-Histogram::bucketHigh(std::size_t i) const
-{
-    return lo_ + width_ * static_cast<double>(i + 1);
 }
 
 } // namespace erec

@@ -2,15 +2,13 @@
 
 /**
  * @file
- * Statistics primitives used by the metrics registry, the simulator and
- * the benchmark harnesses: running moments, percentile tracking over both
- * complete samples and sliding time windows, rate (QPS) windows, and
- * simple time series.
+ * Statistics primitives used by the metrics registry and the simulator:
+ * rate (QPS) windows over simulated time and simple time series.
+ * Quantiles live in obs/sketch.h.
  */
 
 #include <cstddef>
 #include <cstdint>
-#include <deque>
 #include <utility>
 #include <vector>
 
@@ -18,92 +16,6 @@
 #include "elasticrec/common/units.h"
 
 namespace erec {
-
-/**
- * Numerically stable running mean / variance / min / max (Welford).
- */
-class RunningStat
-{
-  public:
-    void add(double x);
-
-    std::size_t count() const { return n_; }
-    double mean() const { return n_ ? mean_ : 0.0; }
-    double variance() const;
-    double stddev() const;
-    double min() const { return n_ ? min_ : 0.0; }
-    double max() const { return n_ ? max_ : 0.0; }
-    double sum() const { return sum_; }
-
-    void reset();
-
-  private:
-    std::size_t n_ = 0;
-    double mean_ = 0.0;
-    double m2_ = 0.0;
-    double min_ = 0.0;
-    double max_ = 0.0;
-    double sum_ = 0.0;
-};
-
-/**
- * Exact percentile tracker over all recorded samples.
- *
- * Stores every sample; suited to experiment-scale sample counts (up to a
- * few million doubles). quantile() sorts lazily and caches.
- */
-class PercentileTracker
-{
-  public:
-    void add(double x);
-
-    std::size_t count() const { return samples_.size(); }
-
-    /**
-     * Value at quantile q in [0, 1] using linear interpolation between
-     * closest ranks. Returns 0 when empty.
-     */
-    double quantile(double q) const;
-
-    double p50() const { return quantile(0.50); }
-    double p95() const { return quantile(0.95); }
-    double p99() const { return quantile(0.99); }
-    double mean() const;
-
-    void reset();
-
-  private:
-    mutable std::vector<double> samples_;
-    mutable bool sorted_ = true;
-};
-
-/**
- * Percentile tracker over a sliding window of simulated time.
- *
- * Used for SLA monitoring (e.g. P95 tail latency over the trailing 10
- * simulated seconds) and as the metric source for autoscaling decisions.
- */
-class WindowedPercentile
-{
-  public:
-    explicit WindowedPercentile(SimTime window) : window_(window) {}
-
-    /** Record a sample observed at simulated time t. */
-    void add(SimTime t, double x);
-
-    /** Drop samples older than (now - window). */
-    void expire(SimTime now);
-
-    /** Quantile over the samples currently inside the window. */
-    double quantile(SimTime now, double q);
-
-    std::size_t count() const { return samples_.size(); }
-    SimTime window() const { return window_; }
-
-  private:
-    SimTime window_;
-    std::deque<std::pair<SimTime, double>> samples_;
-};
 
 /**
  * Event-rate window: counts events over a sliding window of simulated
@@ -157,35 +69,6 @@ class TimeSeries
 
   private:
     std::vector<std::pair<SimTime, double>> points_;
-};
-
-/**
- * Fixed-bucket histogram over a linear range, used for latency
- * distribution reporting.
- */
-class Histogram
-{
-  public:
-    Histogram(double lo, double hi, std::size_t buckets);
-
-    void add(double x);
-
-    std::size_t bucketCount() const { return counts_.size(); }
-    std::uint64_t bucket(std::size_t i) const { return counts_[i]; }
-    double bucketLow(std::size_t i) const;
-    double bucketHigh(std::size_t i) const;
-    std::uint64_t underflow() const { return underflow_; }
-    std::uint64_t overflow() const { return overflow_; }
-    std::uint64_t total() const { return total_; }
-
-  private:
-    double lo_;
-    double hi_;
-    double width_;
-    std::vector<std::uint64_t> counts_;
-    std::uint64_t underflow_ = 0;
-    std::uint64_t overflow_ = 0;
-    std::uint64_t total_ = 0;
 };
 
 } // namespace erec

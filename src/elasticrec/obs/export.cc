@@ -1,15 +1,18 @@
 #include "elasticrec/obs/export.h"
 
 #include <cmath>
+#include <cstdint>
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
 #include <iomanip>
 #include <limits>
 #include <ostream>
+#include <set>
 #include <sstream>
 
 #include "elasticrec/common/error.h"
+#include "elasticrec/obs/perfetto.h"
 
 namespace erec::obs {
 
@@ -226,31 +229,31 @@ class JsonCursor
         }
     }
 
-    std::int64_t parseInt()
+    std::uint64_t parseUint()
     {
         skipWs();
         const std::size_t start = i_;
-        if (i_ < s_.size() && s_[i_] == '-')
+        std::uint64_t v = 0;
+        while (i_ < s_.size() && s_[i_] >= '0' && s_[i_] <= '9') {
+            const auto digit = static_cast<std::uint64_t>(s_[i_] - '0');
+            ERC_CHECK(v <= (UINT64_MAX - digit) / 10,
+                      "trace json: integer overflow at offset " << start);
+            v = v * 10 + digit;
             ++i_;
-        while (i_ < s_.size() && s_[i_] >= '0' && s_[i_] <= '9')
-            ++i_;
-        ERC_CHECK(i_ > start && (s_[start] != '-' || i_ > start + 1),
+        }
+        ERC_CHECK(i_ > start,
                   "trace json: expected integer at offset " << start);
-        return std::stoll(s_.substr(start, i_ - start));
+        return v;
     }
 
-    bool parseBool()
+    std::int64_t parseInt()
     {
-        skipWs();
-        if (s_.compare(i_, 4, "true") == 0) {
-            i_ += 4;
-            return true;
-        }
-        if (s_.compare(i_, 5, "false") == 0) {
-            i_ += 5;
-            return false;
-        }
-        erec::fatal("trace json: expected boolean");
+        const bool neg = consume('-');
+        const std::uint64_t v = parseUint();
+        ERC_CHECK(v <= static_cast<std::uint64_t>(INT64_MAX),
+                  "trace json: integer out of range at offset " << i_);
+        return neg ? -static_cast<std::int64_t>(v)
+                   : static_cast<std::int64_t>(v);
     }
 
   private:
@@ -258,73 +261,52 @@ class JsonCursor
     std::size_t i_ = 0;
 };
 
-Span
-parseSpan(JsonCursor &cur)
+/** Parse one erec_trace/v2 line; every key is required exactly
+ *  once, so a truncated or foreign line cannot pass as an event. */
+SpanEvent
+parseEventLine(const std::string &line)
 {
-    Span span;
-    cur.expect('{');
-    bool first = true;
-    while (cur.peek() != '}') {
-        if (!first)
-            cur.expect(',');
-        first = false;
-        const std::string key = cur.parseString();
-        cur.expect(':');
-        if (key == "name")
-            span.name = cur.parseString();
-        else if (key == "start_us")
-            span.start = cur.parseInt();
-        else if (key == "end_us")
-            span.end = cur.parseInt();
-        else if (key == "span_id")
-            span.spanId = static_cast<std::uint64_t>(cur.parseInt());
-        else if (key == "parent_id")
-            span.parentId = static_cast<std::uint64_t>(cur.parseInt());
-        else
-            erec::fatal("trace json: unknown span key '" + key + "'");
-    }
-    cur.expect('}');
-    return span;
-}
-
-QueryTrace
-parseTraceLine(const std::string &line)
-{
+    constexpr std::size_t kNumKeys = 8;
     JsonCursor cur(line);
-    QueryTrace trace;
+    SpanEvent e;
+    std::set<std::string> seen;
     cur.expect('{');
-    bool first = true;
     while (cur.peek() != '}') {
-        if (!first)
+        if (!seen.empty())
             cur.expect(',');
-        first = false;
         const std::string key = cur.parseString();
         cur.expect(':');
-        if (key == "query_id") {
-            trace.queryId = static_cast<std::uint64_t>(cur.parseInt());
-        } else if (key == "trace_id") {
-            trace.traceId = static_cast<std::uint64_t>(cur.parseInt());
-        } else if (key == "arrival_us") {
-            trace.arrival = cur.parseInt();
-        } else if (key == "completion_us") {
-            trace.completion = cur.parseInt();
-        } else if (key == "completed") {
-            trace.completed = cur.parseBool();
-        } else if (key == "spans") {
-            cur.expect('[');
-            if (!cur.consume(']')) {
-                do {
-                    trace.spans.push_back(parseSpan(cur));
-                } while (cur.consume(','));
-                cur.expect(']');
-            }
+        ERC_CHECK(seen.insert(key).second,
+                  "trace json: duplicate key '" << key << "'");
+        if (key == "trace_id") {
+            e.traceId = cur.parseUint();
+        } else if (key == "span_id") {
+            e.spanId = cur.parseUint();
+        } else if (key == "parent_id") {
+            e.parentId = cur.parseUint();
+        } else if (key == "kind") {
+            const std::string kind = cur.parseString();
+            ERC_CHECK(kind == "span" || kind == "link",
+                      "trace json: unknown kind '" << kind << "'");
+            e.kind = kind == "span" ? EventKind::Span : EventKind::Link;
+        } else if (key == "name") {
+            e.name = internSpanName(cur.parseString());
+        } else if (key == "start_us") {
+            e.startUs = cur.parseInt();
+        } else if (key == "end_us") {
+            e.endUs = cur.parseInt();
+        } else if (key == "arg") {
+            e.arg = cur.parseUint();
         } else {
-            erec::fatal("trace json: unknown trace key '" + key + "'");
+            erec::fatal("trace json: unknown key '" + key + "'");
         }
     }
     cur.expect('}');
     ERC_CHECK(cur.atEnd(), "trace json: trailing content on line");
-    return trace;
+    ERC_CHECK(seen.size() == kNumKeys,
+              "trace json: an erec_trace/v2 event needs all "
+                  << kNumKeys << " keys");
+    return e;
 }
 
 } // namespace
@@ -400,49 +382,29 @@ toPrometheusText(const Registry &registry)
 }
 
 void
-writeTraceJsonLines(std::ostream &os, const std::deque<QueryTrace> &traces)
+writeTraceJsonLines(std::ostream &os, const std::vector<SpanEvent> &events)
 {
-    for (const auto &trace : traces) {
-        os << "{\"query_id\":" << trace.queryId
-           << ",\"trace_id\":" << trace.traceId
-           << ",\"arrival_us\":" << trace.arrival
-           << ",\"completion_us\":" << trace.completion
-           << ",\"completed\":" << (trace.completed ? "true" : "false")
-           << ",\"spans\":[";
-        for (std::size_t i = 0; i < trace.spans.size(); ++i) {
-            const Span &span = trace.spans[i];
-            if (i > 0)
-                os << ',';
-            os << "{\"name\":\"" << escapeJson(span.name)
-               << "\",\"start_us\":" << span.start
-               << ",\"end_us\":" << span.end
-               << ",\"span_id\":" << span.spanId
-               << ",\"parent_id\":" << span.parentId << '}';
-        }
-        os << "]}\n";
-    }
+    for (const SpanEvent &e : events)
+        os << "{\"trace_id\":" << e.traceId << ",\"span_id\":" << e.spanId
+           << ",\"parent_id\":" << e.parentId << ",\"kind\":\""
+           << (e.kind == EventKind::Link ? "link" : "span")
+           << "\",\"name\":\"" << escapeJson(spanName(e.name))
+           << "\",\"start_us\":" << e.startUs << ",\"end_us\":" << e.endUs
+           << ",\"arg\":" << e.arg << "}\n";
 }
 
-std::string
-toTraceJsonLines(const std::deque<QueryTrace> &traces)
-{
-    std::ostringstream oss;
-    writeTraceJsonLines(oss, traces);
-    return oss.str();
-}
-
-std::vector<QueryTrace>
+std::vector<SpanEvent>
 readTraceJsonLines(const std::string &text)
 {
-    std::vector<QueryTrace> traces;
+    std::vector<SpanEvent> events;
     std::istringstream iss(text);
     std::string line;
     while (std::getline(iss, line)) {
         if (line.find_first_not_of(" \t\r") == std::string::npos)
             continue;
-        traces.push_back(parseTraceLine(line));
+        events.push_back(parseEventLine(line));
     }
-    return traces;
+    return events;
 }
 
 void
@@ -461,12 +423,17 @@ writeMetricsFiles(const std::string &dir, const std::string &stem,
               "cannot open '" << prom.string() << "' for writing");
     writePrometheusText(prom_os, registry);
 
-    if (artifacts.traces != nullptr) {
+    if (artifacts.spans != nullptr) {
         const fs::path jsonl = fs::path(dir) / (stem + "_traces.jsonl");
         std::ofstream trace_os(jsonl);
         ERC_CHECK(trace_os.good(),
                   "cannot open '" << jsonl.string() << "' for writing");
-        writeTraceJsonLines(trace_os, *artifacts.traces);
+        writeTraceJsonLines(trace_os, *artifacts.spans);
+        const fs::path perfetto = fs::path(dir) / (stem + "_perfetto.json");
+        std::ofstream perfetto_os(perfetto);
+        ERC_CHECK(perfetto_os.good(),
+                  "cannot open '" << perfetto.string() << "' for writing");
+        writePerfettoJson(perfetto_os, *artifacts.spans);
     }
     if (artifacts.alerts != nullptr) {
         const fs::path jsonl = fs::path(dir) / (stem + "_alerts.jsonl");

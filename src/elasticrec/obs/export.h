@@ -8,22 +8,28 @@
  *    server serves to its scraper): HELP/TYPE headers, escaped label
  *    values, cumulative `_bucket{le=...}` histogram series plus `_sum`
  *    and `_count`.
- *  - JSON lines for query traces: one self-contained JSON object per
- *    line, with a strict reader so tooling (and tests) can round-trip
- *    what the writer emits.
+ *  - erec_trace/v2 JSON lines: one SpanEvent (span or fan-in link) per
+ *    line, in the order given, with a strict reader so tooling (and
+ *    tests) can round-trip what the writer emits:
+ *
+ *      {"trace_id":3,"span_id":1,"parent_id":0,"kind":"span",
+ *       "name":"query","start_us":200,"end_us":-1,"arg":0}
+ *
+ *    (one line in the file; end_us -1 is an open root, see
+ *    kOpenSpanEnd). The same format carries simulator traces and the
+ *    native serving stack's query and batch traces.
  *
  * Output ordering is deterministic (families and children are stored
  * in ordered maps), so two identical runs export byte-identical text.
  */
 
-#include <deque>
 #include <iosfwd>
 #include <string>
 #include <vector>
 
 #include "elasticrec/obs/metric.h"
 #include "elasticrec/obs/slo.h"
-#include "elasticrec/obs/trace.h"
+#include "elasticrec/obs/flight_recorder.h"
 
 namespace erec::obs {
 
@@ -34,22 +40,22 @@ std::string escapeLabelValue(const std::string &value);
 void writePrometheusText(std::ostream &os, const Registry &registry);
 std::string toPrometheusText(const Registry &registry);
 
-/** Write traces as JSON lines (one object per trace). */
+/** Write events as erec_trace/v2 JSON lines. */
 void writeTraceJsonLines(std::ostream &os,
-                         const std::deque<QueryTrace> &traces);
-std::string toTraceJsonLines(const std::deque<QueryTrace> &traces);
+                         const std::vector<SpanEvent> &events);
 
 /**
- * Parse JSON-lines traces as written by writeTraceJsonLines. Raises
- * ConfigError on malformed input.
+ * Parse erec_trace/v2 JSON lines as written by writeTraceJsonLines,
+ * interning every span name. Raises ConfigError on malformed input.
  */
-std::vector<QueryTrace> readTraceJsonLines(const std::string &text);
+std::vector<SpanEvent> readTraceJsonLines(const std::string &text);
 
 /** Optional side artifacts bundled with a metrics dump. */
 struct ExportArtifacts
 {
-    /** Sampled query traces -> `<stem>_traces.jsonl` (null: skip). */
-    const std::deque<QueryTrace> *traces = nullptr;
+    /** Sampled trace events -> `<stem>_traces.jsonl` plus
+     *  `<stem>_perfetto.json` (null: skip). */
+    const std::vector<SpanEvent> *spans = nullptr;
     /** Alert transitions -> `<stem>_alerts.jsonl` (null: skip). */
     const std::vector<AlertEvent> *alerts = nullptr;
 };

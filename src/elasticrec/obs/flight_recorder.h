@@ -57,7 +57,18 @@ enum class EventKind : std::uint32_t
     Link = 1,
 };
 
-/** Fixed-size POD trace record; the only thing rings ever store. */
+/** endUs of a span that has not closed yet. Only a trace's root span
+ *  may be open: the simulator appends a sampled query's root at
+ *  arrival and closes it in place at completion, so a root still open
+ *  at export marks a lost or in-flight query. */
+inline constexpr std::int64_t kOpenSpanEnd = -1;
+
+/**
+ * Fixed-size POD trace record: the one span model of both engines.
+ * Serving rings store it, the simulator appends it to a plain vector,
+ * and every consumer (span trees, report, Perfetto, erec_trace/v2
+ * JSONL) reads it.
+ */
 struct SpanEvent
 {
     std::uint64_t traceId = 0;

@@ -55,33 +55,6 @@ escapeName(const std::string &s)
 } // namespace
 
 void
-writePerfettoJson(std::ostream &os, const std::deque<QueryTrace> &traces)
-{
-    std::vector<EventLine> lines;
-    std::uint64_t order = 0;
-    for (const QueryTrace &trace : traces) {
-        const std::uint64_t tid =
-            trace.traceId != 0 ? trace.traceId : trace.queryId + 1;
-        for (const Span &span : trace.spans) {
-            EventLine line;
-            line.ts = span.start;
-            line.tid = tid;
-            line.order = order++;
-            std::ostringstream oss;
-            oss << "{\"name\":\"" << escapeName(span.name)
-                << "\",\"ph\":\"X\",\"ts\":" << span.start
-                << ",\"dur\":" << (span.end - span.start)
-                << ",\"pid\":1,\"tid\":" << tid
-                << ",\"args\":{\"span_id\":" << span.spanId
-                << ",\"parent_id\":" << span.parentId << "}}";
-            line.json = oss.str();
-            lines.push_back(std::move(line));
-        }
-    }
-    emitLines(os, std::move(lines));
-}
-
-void
 writePerfettoJson(std::ostream &os, const std::vector<SpanEvent> &events)
 {
     std::vector<EventLine> lines;
@@ -94,6 +67,8 @@ writePerfettoJson(std::ostream &os, const std::vector<SpanEvent> &events)
         // per-query tracks stay readable.
         const int pid = batch ? 2 : 1;
         if (e.kind == EventKind::Span) {
+            if (e.endUs < e.startUs)
+                continue; // Open root: no duration to draw.
             EventLine line;
             line.ts = e.startUs;
             line.tid = tid;
@@ -142,22 +117,6 @@ writePerfettoJson(std::ostream &os, const std::vector<SpanEvent> &events)
         }
     }
     emitLines(os, std::move(lines));
-}
-
-std::string
-toPerfettoJson(const std::deque<QueryTrace> &traces)
-{
-    std::ostringstream oss;
-    writePerfettoJson(oss, traces);
-    return oss.str();
-}
-
-std::string
-toPerfettoJson(const std::vector<SpanEvent> &events)
-{
-    std::ostringstream oss;
-    writePerfettoJson(oss, events);
-    return oss.str();
 }
 
 namespace {
@@ -223,7 +182,7 @@ validatePerfettoJson(const std::string &text)
     if (lines.size() < 2 || lines.front() != "{\"traceEvents\":[" ||
         lines.back() != "]}") {
         errors.push_back(
-            "not an erec_trace/v1 perfetto file: expected a "
+            "not an erec_trace/v2 perfetto file: expected a "
             "{\"traceEvents\":[ ... ]} envelope with one event per "
             "line");
         return errors;

@@ -19,9 +19,38 @@ struct StageAccumulator
     QuantileSketch sketch;
 };
 
-template <typename Container>
+/** The root span of a query trace that completed (root present and
+ *  closed); nullptr for a lost or in-flight query. */
+const SpanEvent *
+closedRoot(const SpanTree &tree)
+{
+    if (tree.nodes.empty())
+        return nullptr;
+    const SpanEvent &root = tree.nodes[tree.root].event;
+    if (root.spanId != kRootSpanId || root.endUs < root.startUs)
+        return nullptr;
+    return &root;
+}
+
+} // namespace
+
+std::string
+stageOf(const std::string &span_name)
+{
+    const std::size_t first = span_name.find('/');
+    if (first == std::string::npos)
+        return span_name;
+    const std::size_t last = span_name.rfind('/');
+    if (last == first)
+        return span_name; // two segments: already a stage name
+    const std::string head = span_name.substr(0, first);
+    if (head == "sparse" || head == "rpc")
+        return head + span_name.substr(last);
+    return span_name;
+}
+
 AttributionReport
-attributeStagesImpl(const Container &traces)
+attributeStages(const std::vector<SpanTree> &trees)
 {
     AttributionReport report;
     // Ordered map: the final largest-first sort breaks ties by the
@@ -29,31 +58,35 @@ attributeStagesImpl(const Container &traces)
     std::map<std::string, StageAccumulator> stages;
     QuantileSketch e2e;
 
-    for (const QueryTrace &trace : traces) {
+    for (const SpanTree &tree : trees) {
+        if (tree.isBatch())
+            continue;
         ++report.tracedQueries;
-        if (!trace.completed) {
+        const SpanEvent *root = closedRoot(tree);
+        if (root == nullptr) {
             // A lost/in-flight query has no completion: every one of
             // its spans is still causally open, so none may feed the
             // stage sketches (their durations describe an unfinished
             // query). They surface in openSpans instead of vanishing.
             ++report.lostTraces;
-            report.openSpans += trace.spans.size();
+            report.openSpans += tree.nodes.size();
             continue;
         }
         ++report.completedTraces;
         const double latency_ms =
-            units::toMillis(trace.completion - trace.arrival);
+            units::toMillis(root->endUs - root->startUs);
         report.endToEndTotalMs += latency_ms;
         e2e.insert(latency_ms);
-        for (const Span &span : trace.spans) {
-            if (span.end < span.start) {
-                // Never-closed span exported inside a completed trace
-                // (end still 0): exclude the bogus negative duration.
+        for (const SpanNode &node : tree.nodes) {
+            const SpanEvent &span = node.event;
+            if (span.endUs < span.startUs) {
+                // Never-closed span inside a completed trace: exclude
+                // the bogus negative duration.
                 ++report.openSpans;
                 continue;
             }
-            StageAccumulator &acc = stages[stageOf(span.name)];
-            const double ms = units::toMillis(span.end - span.start);
+            StageAccumulator &acc = stages[stageOf(spanName(span.name))];
+            const double ms = units::toMillis(span.endUs - span.startUs);
             ++acc.spans;
             acc.totalMs += ms;
             acc.sketch.insert(ms);
@@ -85,90 +118,44 @@ attributeStagesImpl(const Container &traces)
     return report;
 }
 
-} // namespace
-
-std::string
-stageOf(const std::string &span_name)
-{
-    const std::size_t first = span_name.find('/');
-    if (first == std::string::npos)
-        return span_name;
-    const std::size_t last = span_name.rfind('/');
-    if (last == first)
-        return span_name; // two segments: already a stage name
-    const std::string head = span_name.substr(0, first);
-    if (head == "sparse" || head == "rpc")
-        return head + span_name.substr(last);
-    return span_name;
-}
-
-AttributionReport
-attributeStages(const std::deque<QueryTrace> &traces)
-{
-    return attributeStagesImpl(traces);
-}
-
-AttributionReport
-attributeStages(const std::vector<QueryTrace> &traces)
-{
-    return attributeStagesImpl(traces);
-}
-
 namespace {
 
 /**
  * Stage chain bounding one completed trace's latency: from the root
  * span, repeatedly descend into the child whose end time is largest
- * (ties: later start, then smaller span id — all deterministic). For
- * flat traces without span ids, fall back to the single latest-ending
- * span.
+ * (ties: later start, then smaller span id — all deterministic).
  */
-std::vector<std::string>
-criticalChainOf(const QueryTrace &trace)
+std::string
+criticalChainOf(const SpanTree &tree)
 {
-    std::vector<std::string> chain;
-    const Span *root = nullptr;
-    // child spans keyed by parent id; spans are few (O(10)), linear
-    // scans are fine.
-    bool has_ids = false;
-    for (const Span &span : trace.spans) {
-        if (span.spanId != 0)
-            has_ids = true;
-        if (span.spanId == kRootSpanId)
-            root = &span;
-    }
-    if (!has_ids || root == nullptr) {
-        // Legacy flat trace: attribute to the latest-ending span.
-        const Span *last = nullptr;
-        for (const Span &span : trace.spans)
-            if (last == nullptr || span.end > last->end)
-                last = &span;
-        if (last != nullptr)
-            chain.push_back(stageOf(last->name));
-        return chain;
-    }
-    const Span *node = root;
-    while (node != nullptr) {
-        chain.push_back(stageOf(node->name));
-        const Span *next = nullptr;
-        for (const Span &span : trace.spans) {
-            if (span.parentId != node->spanId)
-                continue;
-            if (next == nullptr || span.end > next->end ||
-                (span.end == next->end &&
-                 (span.start > next->start ||
-                  (span.start == next->start &&
-                   span.spanId < next->spanId))))
-                next = &span;
+    std::string chain;
+    std::size_t node = tree.root;
+    for (;;) {
+        if (!chain.empty())
+            chain += " > ";
+        chain += stageOf(spanName(tree.nodes[node].event.name));
+        const std::vector<std::size_t> &children =
+            tree.nodes[node].children;
+        if (children.empty())
+            return chain;
+        // Children come in span-id order, so keeping the first of
+        // equal candidates prefers the smaller span id.
+        std::size_t next = children.front();
+        for (const std::size_t child : children) {
+            const SpanEvent &c = tree.nodes[child].event;
+            const SpanEvent &best = tree.nodes[next].event;
+            if (c.endUs > best.endUs ||
+                (c.endUs == best.endUs && c.startUs > best.startUs))
+                next = child;
         }
         node = next;
     }
-    return chain;
 }
 
-template <typename Container>
+} // namespace
+
 CriticalPathReport
-analyzeCriticalPathsImpl(const Container &traces)
+analyzeCriticalPaths(const std::vector<SpanTree> &trees)
 {
     CriticalPathReport report;
     struct ChainAccumulator
@@ -177,22 +164,16 @@ analyzeCriticalPathsImpl(const Container &traces)
         double totalMs = 0.0;
     };
     std::map<std::string, ChainAccumulator> chains;
-    for (const QueryTrace &trace : traces) {
-        if (!trace.completed)
+    for (const SpanTree &tree : trees) {
+        if (tree.isBatch())
             continue;
-        const std::vector<std::string> chain = criticalChainOf(trace);
-        if (chain.empty())
+        const SpanEvent *root = closedRoot(tree);
+        if (root == nullptr)
             continue;
         ++report.analyzedTraces;
-        std::string signature;
-        for (const std::string &stage : chain) {
-            if (!signature.empty())
-                signature += " > ";
-            signature += stage;
-        }
-        ChainAccumulator &acc = chains[signature];
+        ChainAccumulator &acc = chains[criticalChainOf(tree)];
         ++acc.count;
-        acc.totalMs += units::toMillis(trace.completion - trace.arrival);
+        acc.totalMs += units::toMillis(root->endUs - root->startUs);
     }
     for (const auto &[signature, acc] : chains) {
         CriticalPathStat stat;
@@ -208,20 +189,6 @@ analyzeCriticalPathsImpl(const Container &traces)
                          return a.count > b.count;
                      });
     return report;
-}
-
-} // namespace
-
-CriticalPathReport
-analyzeCriticalPaths(const std::deque<QueryTrace> &traces)
-{
-    return analyzeCriticalPathsImpl(traces);
-}
-
-CriticalPathReport
-analyzeCriticalPaths(const std::vector<QueryTrace> &traces)
-{
-    return analyzeCriticalPathsImpl(traces);
 }
 
 void

@@ -4,7 +4,9 @@
  * @file
  * Per-stage latency attribution and run reports.
  *
- * Folds sampled QueryTrace spans into the Fig. 3-style stage breakdown
+ * Folds sampled span trees (buildSpanTrees output, from either the
+ * simulator or the native serving stack) into the Fig. 3-style stage
+ * breakdown
  * the paper argues from — where does a query's latency go: queueing,
  * dense compute, the gather RPCs, or the sparse shards themselves?
  * Per-deployment span names are normalized to a small stable stage set
@@ -20,13 +22,12 @@
  */
 
 #include <cstdint>
-#include <deque>
 #include <iosfwd>
 #include <string>
 #include <vector>
 
 #include "elasticrec/obs/slo.h"
-#include "elasticrec/obs/trace.h"
+#include "elasticrec/obs/span_tree.h"
 
 namespace erec::obs {
 
@@ -43,7 +44,8 @@ struct StageStats
     double shareOfEndToEnd = 0.0;
 };
 
-/** Stage attribution over one run's sampled traces. */
+/** Stage attribution over one run's sampled query traces. A trace is
+ *  completed when its root span closed; batch traces are skipped. */
 struct AttributionReport
 {
     /** Stages ordered by total contribution, largest first (ties by
@@ -51,7 +53,8 @@ struct AttributionReport
     std::vector<StageStats> stages;
     std::uint64_t tracedQueries = 0;
     std::uint64_t completedTraces = 0;
-    /** Traces whose query never completed (lost to a pod crash). */
+    /** Traces whose root is open or missing: the query was lost to a
+     *  pod crash or still in flight when the run ended. */
     std::uint64_t lostTraces = 0;
     /** Spans excluded from the stage sketches because they never
      *  closed: every span of a lost/in-flight trace, plus any span of
@@ -59,7 +62,8 @@ struct AttributionReport
      *  was still open at export time). Mixing them into the stage
      *  statistics would count bogus `end - start` durations. */
     std::uint64_t openSpans = 0;
-    /** Summed arrival->completion latency of completed traces. */
+    /** Summed root-span durations (arrival->completion) of completed
+     *  traces. */
     double endToEndTotalMs = 0.0;
     double meanEndToEndMs = 0.0;
     double p95EndToEndMs = 0.0;
@@ -69,8 +73,7 @@ struct AttributionReport
  *  segment from `sparse/<dep>/...` and `rpc/<dep>/...` spans. */
 std::string stageOf(const std::string &span_name);
 
-AttributionReport attributeStages(const std::deque<QueryTrace> &traces);
-AttributionReport attributeStages(const std::vector<QueryTrace> &traces);
+AttributionReport attributeStages(const std::vector<SpanTree> &trees);
 
 /** One aggregated critical-path chain: the stage sequence that
  *  bounded completion for `count` traced queries. */
@@ -94,16 +97,13 @@ struct CriticalPathReport
 };
 
 /**
- * Per traced query, walk the span tree from the root and follow the
- * child whose end time bounds its parent's completion; the visited
- * stage chain is the query's critical path. Chains are aggregated by
- * their normalized (stageOf) signature. Flat legacy traces (no span
- * ids) degrade to a one-hop chain through the latest-ending span.
+ * Per completed query trace, walk the span tree from the root and
+ * follow the child whose end time bounds its parent's completion; the
+ * visited stage chain is the query's critical path. Chains are
+ * aggregated by their normalized (stageOf) signature.
  */
 CriticalPathReport analyzeCriticalPaths(
-    const std::deque<QueryTrace> &traces);
-CriticalPathReport analyzeCriticalPaths(
-    const std::vector<QueryTrace> &traces);
+    const std::vector<SpanTree> &trees);
 
 /** Per-rule rollup of an alert log. */
 struct SloVerdict

@@ -7,9 +7,9 @@
  *
  * The paper's whole control loop hangs off tail-latency targets (the
  * 400 ms SLA, dense shards scaled at 65% of it), so quantile queries
- * sit directly on the HPA evaluation path. A raw sample store (the old
- * WindowedPercentile) re-sorts every query and keeps every sample; the
- * sketch keeps one counter per logarithmic bucket instead:
+ * sit directly on the HPA evaluation path. A raw sample store re-sorts
+ * on every query and keeps every sample; the sketch keeps one counter
+ * per logarithmic bucket instead:
  *
  *  - insert is O(1) and allocates nothing once the value range has
  *    been seen (warm-up only grows the contiguous bucket array);
@@ -117,8 +117,8 @@ class QuantileSketch
 
 /**
  * Quantile sketch over a sliding window of simulated time, backed by a
- * ring of time-bucketed QuantileSketch slices. Drop-in replacement for
- * the raw-sample WindowedPercentile on SLA-monitoring paths.
+ * ring of time-bucketed QuantileSketch slices: the tail-latency source
+ * of the SLA-monitoring and HPA paths.
  */
 class WindowedQuantileSketch
 {

@@ -6,9 +6,10 @@
  * records carry a small integer `NameId`, never a string. Call sites
  * register their names once at startup (file-scope `static const
  * NameId` initializers, or per-deployment interning in a constructor)
- * and pass the id on every record — the `trace-name-literal` lint rule
- * rejects string literals / `std::string` temporaries on trace calls
- * in library code, so the recorder stays alloc-free by construction.
+ * and pass the id on every record. The record calls take only a
+ * NameId, so a string-literal or `std::string` span name does not
+ * compile (flight_recorder_test asserts this) and the recorder stays
+ * alloc-free by construction.
  *
  * Both interning and id->string lookup are mutex-guarded; neither is
  * hot-path material. The hot path only ever *copies* a NameId into a

@@ -41,17 +41,6 @@ sparseResponseSlot(unsigned ordinal)
     return 3 + 2 * ordinal;
 }
 
-/** Record one causal span: the context's structural id fixes its
- *  position in the trace's span tree. */
-// ERC_HOT_PATH_ALLOW("span storage appends to the sampled query's trace; runs only for traced queries, which are excluded from the zero-alloc pin")
-void
-addCtxSpan(obs::QueryTrace *trace, const obs::TraceContext &ctx,
-           obs::NameId name, SimTime start, SimTime end)
-{
-    trace->addSpan(name, start, end, ctx.spanId,
-                   obs::parentSpanId(ctx.spanId));
-}
-
 // ERC_HOT_PATH_ALLOW("label construction for pod-scoped gauges: used at reap and per-pod sampling, never on the query path")
 obs::Labels
 podLabels(const std::string &deployment, std::uint64_t pod_id)
@@ -82,7 +71,6 @@ ClusterSimulation::ClusterSimulation(core::DeploymentPlan plan,
       scheduler_(node_),
       obs_(options.observability ? options.observability
                                  : std::make_shared<obs::Registry>()),
-      tracer_(options.traceSampleEvery),
       slo_([this](const obs::SloSignal &signal, SimTime now) {
           return readSloSignal(signal, now);
       })
@@ -435,24 +423,29 @@ ClusterSimulation::startQuery()
     const bool monolithic =
         fe.deployment->spec().kind == core::ShardKind::Monolithic;
 
-    // Deterministic sampling: no RNG draw, no extra events, so traced
-    // and untraced runs play out identically.
-    obs::QueryTrace *trace = tracer_.maybeSample(arrival);
-
-    const obs::TraceContext root =
-        trace != nullptr
-            ? obs::TraceContext{trace->traceId, obs::kRootSpanId}
-            : obs::TraceContext{};
+    // Deterministic every-Nth sampling in arrival order with
+    // traceId = arrival index + 1, the rule FlightRecorder applies to
+    // submissions: no RNG draw, no extra events, so traced and
+    // untraced runs play out identically. The root span opens now and
+    // closes in place at completion.
+    const std::uint64_t index = result_.arrivals - 1;
+    std::size_t trace_root = QueryArena::kUntraced;
+    obs::TraceContext root;
+    if (options_.traceSampleEvery != 0 &&
+        index % options_.traceSampleEvery == 0) {
+        root = {index + 1, obs::kRootSpanId};
+        trace_root = spans_.size();
+        recordSpan(root, kQueryName, arrival, obs::kOpenSpanEnd);
+    }
 
     if (monolithic) {
         WorkItem item;
         item.jitter = jitter();
         item.t0 = arrival;
-        item.ctx = arena_.allocate(arrival, 1, trace, root);
+        item.ctx = arena_.allocate(arrival, 1, trace_root);
         item.dep = fe.ordinal;
         item.kind = WorkKind::Mono;
-        if (trace != nullptr)
-            item.trace = root;
+        item.trace = root;
         dispatch(fe, item);
         return;
     }
@@ -462,7 +455,7 @@ ClusterSimulation::startQuery()
     // dense compute and the slowest shard round trip have both
     // finished. The arena slot carries the fan-in state.
     const std::uint32_t slot =
-        arena_.allocate(arrival, 1 + numSparse_, trace, root);
+        arena_.allocate(arrival, 1 + numSparse_, trace_root);
 
     // Dense leg: overlaps the bottom-MLP compute with the gathers.
     {
@@ -472,7 +465,7 @@ ClusterSimulation::startQuery()
         item.ctx = slot;
         item.dep = fe.ordinal;
         item.kind = WorkKind::DenseLeg;
-        if (trace != nullptr)
+        if (root.sampled())
             item.trace = root.child(kDenseComputeSlot);
         dispatch(fe, item);
     }
@@ -504,9 +497,9 @@ ClusterSimulation::rpcArrive(std::uint32_t slot, std::uint16_t ordinal)
     // The RPC leg's context rides on the work item exactly as the
     // functional stack propagates it in the GatherRequest header;
     // shard-side spans hang under the request span.
-    const obs::TraceContext rpc =
-        arena_.root(slot).child(sparseRequestSlot(ds.sparseOrdinal));
-    if (arena_.trace(slot) != nullptr) {
+    if (arena_.traced(slot)) {
+        const obs::TraceContext rpc = traceRootOf(slot).child(
+            sparseRequestSlot(ds.sparseOrdinal));
         item.trace = rpc;
         tracedRpcArrive(ds, slot, rpc, rpc_arrive);
     }
@@ -525,7 +518,7 @@ ClusterSimulation::onArrival()
 void
 ClusterSimulation::workStarted(const WorkItem &item, SimTime start)
 {
-    if (arena_.trace(item.ctx) != nullptr)
+    if (arena_.traced(item.ctx))
         tracedWorkStarted(item, start);
 }
 
@@ -537,7 +530,7 @@ ClusterSimulation::workDone(const WorkItem &item, SimTime done)
         monoDone(item, done);
         break;
       case WorkKind::DenseLeg:
-        if (arena_.trace(item.ctx) != nullptr)
+        if (arena_.traced(item.ctx))
             tracedDenseDone(item, done);
         componentDone(item.ctx, done);
         break;
@@ -575,7 +568,7 @@ ClusterSimulation::monoDone(const WorkItem &item, SimTime done)
         metrics_.recordSlaViolation(*frontendSeries_);
         ++result_.slaViolations;
     }
-    if (arena_.trace(slot) != nullptr)
+    if (arena_.traced(slot))
         tracedMonoDone(item, done);
     arena_.release(slot);
 }
@@ -587,7 +580,7 @@ ClusterSimulation::sparseLegDone(const WorkItem &item, SimTime done)
     if (ds.series == nullptr)
         ds.series = &metrics_.seriesFor(ds.deployment->name());
     metrics_.recordCompletion(*ds.series, done, 0);
-    if (arena_.trace(item.ctx) != nullptr)
+    if (arena_.traced(item.ctx))
         tracedSparseDone(item, done);
     reapDrained(ds);
     // Response leg flies back; fan-in happens when it lands.
@@ -618,90 +611,96 @@ ClusterSimulation::componentDone(std::uint32_t slot, SimTime done)
         metrics_.recordSlaViolation(*frontendSeries_);
         ++result_.slaViolations;
     }
-    if (arena_.trace(slot) != nullptr)
+    if (arena_.traced(slot))
         tracedQueryDone(slot);
     arena_.release(slot);
 }
 
-// ERC_HOT_PATH_ALLOW("span recording runs only for sampled queries; the sampled path is excluded from the zero-alloc pin by design")
+/** Record one causal span of a sampled query: the context's
+ *  structural id fixes its position in the trace's span tree. */
+// ERC_HOT_PATH_ALLOW("span storage appends to the sampled queries' event vector; runs only for traced queries, which are excluded from the zero-alloc pin")
+void
+ClusterSimulation::recordSpan(const obs::TraceContext &ctx,
+                              obs::NameId name, SimTime start,
+                              SimTime end)
+{
+    obs::SpanEvent e;
+    e.traceId = ctx.traceId;
+    e.spanId = ctx.spanId;
+    e.parentId = obs::parentSpanId(ctx.spanId);
+    e.startUs = start;
+    e.endUs = end;
+    e.name = name;
+    spans_.push_back(e);
+}
+
+obs::TraceContext
+ClusterSimulation::traceRootOf(std::uint32_t slot) const
+{
+    return {spans_[arena_.traceRoot(slot)].traceId, obs::kRootSpanId};
+}
+
 void
 ClusterSimulation::tracedWorkStarted(const WorkItem &item, SimTime start)
 {
-    obs::QueryTrace *trace = arena_.trace(item.ctx);
-    const obs::TraceContext root = arena_.root(item.ctx);
+    const obs::TraceContext root = traceRootOf(item.ctx);
     switch (item.kind) {
       case WorkKind::Mono:
-        addCtxSpan(trace, root.child(kMonoQueueSlot), kMonoQueueName,
-                   item.t0, start);
+        recordSpan(root.child(kMonoQueueSlot), kMonoQueueName, item.t0,
+                   start);
         break;
       case WorkKind::DenseLeg:
-        addCtxSpan(trace, root.child(kDenseQueueSlot), kDenseQueueName,
+        recordSpan(root.child(kDenseQueueSlot), kDenseQueueName,
                    item.t0, start);
         break;
-      case WorkKind::SparseLeg: {
-        const DeploymentState &ds = *depByOrdinal_[item.dep];
-        addCtxSpan(trace, item.trace.child(0), ds.nameSparseQueue,
-                   item.t0, start);
+      case WorkKind::SparseLeg:
+        recordSpan(item.trace.child(0),
+                   depByOrdinal_[item.dep]->nameSparseQueue, item.t0,
+                   start);
         break;
-      }
       case WorkKind::None:
         break;
     }
 }
 
-// ERC_HOT_PATH_ALLOW("span recording runs only for sampled queries; the sampled path is excluded from the zero-alloc pin by design")
 void
 ClusterSimulation::tracedMonoDone(const WorkItem &item, SimTime done)
 {
-    obs::QueryTrace *trace = arena_.trace(item.ctx);
-    const obs::TraceContext root = arena_.root(item.ctx);
-    addCtxSpan(trace, root.child(kMonoServiceSlot), kMonoServiceName,
-               item.svcStart, done);
-    addCtxSpan(trace, root, kQueryName, arena_.arrival(item.ctx), done);
-    tracer_.finish(trace, done);
+    recordSpan(traceRootOf(item.ctx).child(kMonoServiceSlot),
+               kMonoServiceName, item.svcStart, done);
+    spans_[arena_.traceRoot(item.ctx)].endUs = done;
 }
 
-// ERC_HOT_PATH_ALLOW("span recording runs only for sampled queries; the sampled path is excluded from the zero-alloc pin by design")
 void
 ClusterSimulation::tracedDenseDone(const WorkItem &item, SimTime done)
 {
-    addCtxSpan(arena_.trace(item.ctx), item.trace, kDenseComputeName,
-               item.svcStart, done);
+    recordSpan(item.trace, kDenseComputeName, item.svcStart, done);
 }
 
-// ERC_HOT_PATH_ALLOW("span recording runs only for sampled queries; the sampled path is excluded from the zero-alloc pin by design")
 void
 ClusterSimulation::tracedRpcArrive(const DeploymentState &ds,
                                    std::uint32_t slot,
                                    obs::TraceContext rpc,
                                    SimTime rpc_arrive)
 {
-    addCtxSpan(arena_.trace(slot), rpc, ds.nameRpcRequest,
-               arena_.arrival(slot), rpc_arrive);
+    recordSpan(rpc, ds.nameRpcRequest, arena_.arrival(slot), rpc_arrive);
 }
 
-// ERC_HOT_PATH_ALLOW("span recording runs only for sampled queries; the sampled path is excluded from the zero-alloc pin by design")
 void
 ClusterSimulation::tracedSparseDone(const WorkItem &item, SimTime done)
 {
     const DeploymentState &ds = *depByOrdinal_[item.dep];
-    obs::QueryTrace *trace = arena_.trace(item.ctx);
-    addCtxSpan(trace, item.trace.child(1), ds.nameSparseService,
-               item.svcStart, done);
-    addCtxSpan(trace,
-               arena_.root(item.ctx).child(
+    recordSpan(item.trace.child(1), ds.nameSparseService, item.svcStart,
+               done);
+    recordSpan(traceRootOf(item.ctx).child(
                    sparseResponseSlot(ds.sparseOrdinal)),
                ds.nameRpcResponse, done, done + ds.rpcBack);
 }
 
-// ERC_HOT_PATH_ALLOW("span recording runs only for sampled queries; the sampled path is excluded from the zero-alloc pin by design")
 void
 ClusterSimulation::tracedQueryDone(std::uint32_t slot)
 {
-    obs::QueryTrace *trace = arena_.trace(slot);
-    addCtxSpan(trace, arena_.root(slot), kQueryName,
-               arena_.arrival(slot), arena_.lastDone(slot));
-    tracer_.finish(trace, arena_.lastDone(slot));
+    spans_[arena_.traceRoot(slot)].endUs = arena_.lastDone(slot);
 }
 
 void
@@ -904,7 +903,11 @@ ClusterSimulation::run(SimTime duration)
     latencyAll_.clear();
     lostQueries_ = 0;
     endTime_ = duration;
-    tracer_.reset();
+    // Queries carried over from a previous run() finish untraced:
+    // their root indices point into the events being cleared, and
+    // their trace ids would collide with this run's.
+    spans_.clear();
+    arena_.untraceAll();
     slo_.reset();
 
     // Baseline the scale-event counters so result_ reports only this

@@ -57,7 +57,7 @@
 #include "elasticrec/obs/metric.h"
 #include "elasticrec/obs/sketch.h"
 #include "elasticrec/obs/slo.h"
-#include "elasticrec/obs/trace.h"
+#include "elasticrec/obs/flight_recorder.h"
 #include "elasticrec/rpc/channel.h"
 #include "elasticrec/sim/event_queue.h"
 #include "elasticrec/sim/pod.h"
@@ -199,12 +199,13 @@ class ClusterSimulation final : private EventSink, private PodSink
         return obs_;
     }
 
-    /** Sampled query traces collected by the last run. */
-    const obs::Tracer &tracer() const { return tracer_; }
-    const std::deque<obs::QueryTrace> &traces() const
-    {
-        return tracer_.traces();
-    }
+    /**
+     * Span events of the queries the last run sampled, in record
+     * order. A sampled query's root `query` span is appended at
+     * arrival with an open end (kOpenSpanEnd) and closed in place at
+     * completion; a root still open marks a lost or in-flight query.
+     */
+    const std::vector<obs::SpanEvent> &spans() const { return spans_; }
 
     /**
      * SLO alert engine, evaluated once per sample tick. Three default
@@ -274,6 +275,9 @@ class ClusterSimulation final : private EventSink, private PodSink
     // Span recording for sampled queries (cold relative to the gated
     // query path; the hot handlers call these only when a trace is
     // attached).
+    void recordSpan(const obs::TraceContext &ctx, obs::NameId name,
+                    SimTime start, SimTime end);
+    obs::TraceContext traceRootOf(std::uint32_t slot) const;
     void tracedWorkStarted(const WorkItem &item, SimTime start);
     void tracedMonoDone(const WorkItem &item, SimTime done);
     void tracedDenseDone(const WorkItem &item, SimTime done);
@@ -320,7 +324,8 @@ class ClusterSimulation final : private EventSink, private PodSink
     cluster::MetricsRegistry metrics_;
     cluster::Scheduler scheduler_;
     std::shared_ptr<obs::Registry> obs_;
-    obs::Tracer tracer_;
+    /** Sampled queries' span events (see spans()). */
+    std::vector<obs::SpanEvent> spans_;
     obs::SloTracker slo_;
     obs::Counter *obsArrivals_ = nullptr;
 

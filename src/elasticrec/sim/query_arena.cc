@@ -1,10 +1,12 @@
 #include "elasticrec/sim/query_arena.h"
 
+#include <algorithm>
+
 namespace erec::sim {
 
 std::uint32_t
 QueryArena::allocate(SimTime arrival, std::uint32_t outstanding,
-                     obs::QueryTrace *trace, obs::TraceContext root)
+                     std::size_t trace_root)
 {
     if (freeList_.empty())
         grow();
@@ -14,9 +16,14 @@ QueryArena::allocate(SimTime arrival, std::uint32_t outstanding,
     lastDone_[slot] = 0;
     outstanding_[slot] = outstanding;
     dead_[slot] = 0;
-    trace_[slot] = trace;
-    root_[slot] = root;
+    traceRoot_[slot] = trace_root;
     return slot;
+}
+
+void
+QueryArena::untraceAll()
+{
+    std::fill(traceRoot_.begin(), traceRoot_.end(), kUntraced);
 }
 
 // ERC_HOT_PATH_ALLOW("cold growth path: the SoA vectors double only when the in-flight population exceeds every previous peak; steady-state allocation cycles through the free list")
@@ -29,8 +36,7 @@ QueryArena::grow()
     lastDone_.resize(wider, 0);
     outstanding_.resize(wider, 0);
     dead_.resize(wider, 0);
-    trace_.resize(wider, nullptr);
-    root_.resize(wider, obs::TraceContext{});
+    traceRoot_.resize(wider, kUntraced);
     // Reserve free-list capacity for every slot up front so release()
     // can push without ever allocating.
     freeList_.reserve(wider);

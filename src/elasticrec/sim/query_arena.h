@@ -25,31 +25,30 @@
  * callback simply never fired.
  */
 
+#include <cstddef>
 #include <cstdint>
 #include <vector>
 
 #include "elasticrec/common/hotpath.h"
 #include "elasticrec/common/units.h"
-#include "elasticrec/obs/trace_context.h"
-
-namespace erec::obs {
-struct QueryTrace;
-}
 
 namespace erec::sim {
 
 class QueryArena
 {
   public:
+    /** traceRoot() of a query that is not traced. */
+    static constexpr std::size_t kUntraced = SIZE_MAX;
+
     /**
      * Claim a slot for a query arriving at `arrival` with
-     * `outstanding` fan-out legs. `trace` is non-null only for
-     * sampled queries; `root` is its root span context.
+     * `outstanding` fan-out legs. `trace_root` is the index of a
+     * sampled query's root span in the simulation's span vector, or
+     * kUntraced.
      */
     ERC_HOT_PATH
     std::uint32_t allocate(SimTime arrival, std::uint32_t outstanding,
-                           obs::QueryTrace *trace,
-                           obs::TraceContext root);
+                           std::size_t trace_root);
 
     /** Fold a leg's completion time into the query's last-done time. */
     void
@@ -78,14 +77,18 @@ class QueryArena
     {
         return lastDone_[slot];
     }
-    obs::QueryTrace *trace(std::uint32_t slot) const
+    std::size_t traceRoot(std::uint32_t slot) const
     {
-        return trace_[slot];
+        return traceRoot_[slot];
     }
-    obs::TraceContext root(std::uint32_t slot) const
+    bool traced(std::uint32_t slot) const
     {
-        return root_[slot];
+        return traceRoot_[slot] != kUntraced;
     }
+
+    /** Stop tracing every query in flight (their span vector is being
+     *  cleared); they finish untraced. */
+    void untraceAll();
 
     /** Return a settled slot to the free list. */
     ERC_HOT_PATH
@@ -111,8 +114,7 @@ class QueryArena
     std::vector<SimTime> lastDone_;
     std::vector<std::uint32_t> outstanding_;
     std::vector<std::uint8_t> dead_;
-    std::vector<obs::QueryTrace *> trace_;
-    std::vector<obs::TraceContext> root_;
+    std::vector<std::size_t> traceRoot_;
     std::vector<std::uint32_t> freeList_;
 };
 

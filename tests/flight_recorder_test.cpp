@@ -4,14 +4,17 @@
  * structural TraceContext span-id encoding, the SPSC SpanRing's
  * overflow-drops contract, the FlightRecorder's deterministic
  * every-Nth sampling and drain protocol, span-tree assembly with its
- * canonical (timestamp-free) text form, and the Perfetto exporter
- * against its own erec_trace/v1 validator.
+ * canonical (timestamp-free) text form, the Perfetto exporter
+ * against its own erec_trace/v2 validator, and the compile-time rule
+ * that span names are interned ids, never strings.
  */
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <sstream>
 #include <string>
+#include <type_traits>
 #include <vector>
 
 #include "elasticrec/obs/flight_recorder.h"
@@ -22,6 +25,19 @@
 
 namespace erec::obs {
 namespace {
+
+/** Whether recordSpan accepts a span name of type `Name`. */
+template <typename Name>
+constexpr bool kRecordSpanTakes =
+    std::is_invocable_v<decltype(&FlightRecorder::recordSpan),
+                        FlightRecorder &, const TraceContext &, Name,
+                        std::int64_t, std::int64_t, std::uint64_t>;
+
+// The record path stores a 4-byte interned id: a string literal or a
+// std::string name (which would allocate per span) must not compile.
+static_assert(kRecordSpanTakes<NameId>);
+static_assert(!kRecordSpanTakes<const char *>);
+static_assert(!kRecordSpanTakes<std::string>);
 
 TEST(SpanNameTest, InternIsIdempotentAndResolvable)
 {
@@ -265,7 +281,9 @@ TEST(PerfettoTest, DrainedEventsExportAndValidate)
     rec.recordSpan(batch, internSpanName("test/batch"), 5, 40);
     rec.recordLink(batch, link_name, root.traceId, 5);
 
-    const std::string json = toPerfettoJson(rec.drain());
+    std::ostringstream oss;
+    writePerfettoJson(oss, rec.drain());
+    const std::string json = oss.str();
     EXPECT_EQ(validatePerfettoJson(json), std::vector<std::string>{});
     // Flow events: the fan-in link renders as a start/finish pair.
     EXPECT_NE(json.find("\"ph\":\"s\""), std::string::npos);

@@ -93,26 +93,6 @@ TEST(LintToolTest, UnseededRandomnessCaughtEverywhere)
                          "unseeded-random"));
 }
 
-TEST(LintToolTest, WindowedPercentileOnlyInItsStatsHome)
-{
-    const std::string use = "WindowedPercentile p(window);\n";
-    EXPECT_TRUE(hasRule(lintContent("src/elasticrec/x/a.cc", use),
-                        "windowed-percentile"));
-    EXPECT_TRUE(hasRule(lintContent("bench/b.cpp", use),
-                        "windowed-percentile"));
-    // Blessed home and its tests keep exercising the class directly.
-    EXPECT_FALSE(hasRule(lintContent("src/elasticrec/common/stats.cc",
-                                     use),
-                         "windowed-percentile"));
-    EXPECT_FALSE(hasRule(lintContent("tests/stats_test.cpp", use),
-                         "windowed-percentile"));
-    // Mentions in comments don't count.
-    EXPECT_FALSE(hasRule(
-        lintContent("src/elasticrec/x/a.cc",
-                    "// replaces WindowedPercentile with a sketch\n"),
-        "windowed-percentile"));
-}
-
 TEST(LintToolTest, RawThreadOnlyInRuntimeModule)
 {
     const std::string bad = "std::thread t([] {});\n";
@@ -513,66 +493,6 @@ TEST(LintToolTest, HotPathAllowRequiresReason)
                           "allow(hot-path-annotation)\n"
                           "int counter = 0;\n}\n"),
         "hot-path-annotation"));
-}
-
-TEST(LintToolTest, TraceNameLiteralCatchesStringSpanNames)
-{
-    // Inline literal on a record call in library code: flagged.
-    EXPECT_TRUE(hasRule(
-        lintContent("src/elasticrec/serving/a.cc",
-                    "namespace erec {\nvoid f(R *r, Ctx c) {\n"
-                    "  r->recordSpan(c, \"serving/forward\", 0, 1);\n"
-                    "}\n}\n"),
-        "trace-name-literal"));
-    // std::string temporary selects the legacy allocating overload.
-    EXPECT_TRUE(hasRule(
-        lintContent("src/elasticrec/sim/a.cc",
-                    "namespace erec {\nvoid f(T *t) {\n"
-                    "  t->addSpan(std::string(\"queue\"), 0, 1);\n"
-                    "}\n}\n"),
-        "trace-name-literal"));
-    // Formatter-wrapped call: the literal lands on a continuation line.
-    EXPECT_TRUE(hasRule(
-        lintContent("src/elasticrec/sim/a.cc",
-                    "namespace erec {\nvoid f(T *t) {\n"
-                    "  t->addSpan(\n      \"mono/queue\",\n"
-                    "      start, end);\n}\n}\n"),
-        "trace-name-literal"));
-    // Interned NameId argument: clean.
-    EXPECT_FALSE(hasRule(
-        lintContent("src/elasticrec/serving/a.cc",
-                    "namespace erec {\nconst obs::NameId kName =\n"
-                    "    obs::internSpanName(\"serving/forward\");\n"
-                    "void f(R *r, Ctx c) {\n"
-                    "  r->recordSpan(c, kName, 0, 1);\n}\n}\n"),
-        "trace-name-literal"));
-    // A prose mention in a comment can't trip the rule.
-    EXPECT_FALSE(hasRule(
-        lintContent("src/elasticrec/serving/a.cc",
-                    "namespace erec {\n"
-                    "// Call recordSpan(ctx, \"name\", ...) here.\n"
-                    "int x = 0;\n}\n"),
-        "trace-name-literal"));
-    // obs/trace.h declares the legacy string overload itself: exempt.
-    EXPECT_FALSE(hasRule(
-        lintContent("src/elasticrec/obs/trace.h",
-                    "#pragma once\nnamespace erec {\nstruct T {\n"
-                    "  void addSpan(std::string n, int s, int e);\n"
-                    "};\n}\n"),
-        "trace-name-literal"));
-    // Tests and benches may use the string overload freely.
-    EXPECT_FALSE(hasRule(
-        lintContent("tests/a_test.cpp",
-                    "t.addSpan(std::string(\"x\"), 0, 1);\n"),
-        "trace-name-literal"));
-    // Suppressible like every other rule.
-    EXPECT_FALSE(hasRule(
-        lintContent("src/elasticrec/sim/a.cc",
-                    "namespace erec {\nvoid f(T *t) {\n"
-                    "  t->addSpan(std::string(\"q\"), 0, 1); "
-                    "// erec-lint: allow(trace-name-literal)\n"
-                    "}\n}\n"),
-        "trace-name-literal"));
 }
 
 TEST(LintToolTest, DiagnosticsCarryLocation)

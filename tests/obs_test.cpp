@@ -2,24 +2,47 @@
  * @file
  * Unit tests for the observability layer: metric registry semantics,
  * histogram bucket boundaries, Prometheus text rendering (escaping,
- * labels, cumulative buckets), trace JSON-lines round-trips and tracer
- * sampling invariants, and the erec_trace/v1 schema validator over
- * causal (span-id-carrying) traces.
+ * labels, cumulative buckets), erec_trace/v2 JSON-lines round-trips
+ * and the schema validator over SpanEvents.
  */
 
 #include <gtest/gtest.h>
 
 #include <limits>
+#include <sstream>
 
 #include "elasticrec/common/error.h"
 #include "elasticrec/obs/export.h"
 #include "elasticrec/obs/metric.h"
 #include "elasticrec/obs/span_name.h"
-#include "elasticrec/obs/trace.h"
 #include "elasticrec/obs/trace_schema.h"
 
 namespace erec::obs {
 namespace {
+
+/** One span event; `end` defaults to an open root. */
+SpanEvent
+spanEvent(std::uint64_t trace_id, const std::string &name, SimTime start,
+          SimTime end, std::uint64_t span_id = kRootSpanId,
+          std::uint64_t parent_id = 0)
+{
+    SpanEvent e;
+    e.traceId = trace_id;
+    e.spanId = span_id;
+    e.parentId = parent_id;
+    e.startUs = start;
+    e.endUs = end;
+    e.name = internSpanName(name);
+    return e;
+}
+
+std::string
+jsonLines(const std::vector<SpanEvent> &events)
+{
+    std::ostringstream oss;
+    writeTraceJsonLines(oss, events);
+    return oss.str();
+}
 
 TEST(HistogramTest, BucketBoundariesAreInclusiveUpper)
 {
@@ -150,98 +173,6 @@ TEST(ExportTest, PrometheusHistogramIsCumulativeWithInf)
     EXPECT_NE(text.find("erec_lat_ms_sum 101\n"), std::string::npos);
 }
 
-TEST(TracerTest, SamplesEveryNthDeterministically)
-{
-    Tracer t(3);
-    ASSERT_TRUE(t.enabled());
-    int sampled = 0;
-    for (int i = 0; i < 10; ++i) {
-        QueryTrace *trace = t.maybeSample(i * 100);
-        if (i % 3 == 0) {
-            ASSERT_NE(trace, nullptr) << "arrival " << i;
-            EXPECT_EQ(trace->queryId, static_cast<std::uint64_t>(i));
-            ++sampled;
-        } else {
-            EXPECT_EQ(trace, nullptr) << "arrival " << i;
-        }
-    }
-    EXPECT_EQ(sampled, 4);
-    EXPECT_EQ(t.seen(), 10u);
-    EXPECT_EQ(t.traces().size(), 4u);
-}
-
-TEST(TracerTest, DisabledTracerSamplesNothing)
-{
-    Tracer t(0);
-    EXPECT_FALSE(t.enabled());
-    for (int i = 0; i < 5; ++i)
-        EXPECT_EQ(t.maybeSample(i), nullptr);
-    EXPECT_TRUE(t.traces().empty());
-}
-
-TEST(TracerTest, FinishStampsCompletionAndSortsSpans)
-{
-    Tracer t(1);
-    QueryTrace *trace = t.maybeSample(100);
-    ASSERT_NE(trace, nullptr);
-    trace->addSpan("late", 300, 400);
-    trace->addSpan("early", 100, 200);
-    t.finish(trace, 450);
-    EXPECT_TRUE(trace->completed);
-    EXPECT_EQ(trace->completion, 450);
-    ASSERT_EQ(trace->spans.size(), 2u);
-    EXPECT_EQ(trace->spans[0].name, "early");
-    EXPECT_EQ(trace->spans[1].name, "late");
-}
-
-TEST(TracerTest, ResetMidRunDropsTracesAndRestartsSampling)
-{
-    Tracer t(2);
-    for (int i = 0; i < 5; ++i) {
-        QueryTrace *trace = t.maybeSample(i * 10);
-        if (trace != nullptr)
-            t.finish(trace, i * 10 + 5);
-    }
-    ASSERT_EQ(t.traces().size(), 3u); // arrivals 0, 2, 4
-    t.reset();
-    EXPECT_EQ(t.seen(), 0u);
-    EXPECT_TRUE(t.traces().empty());
-    // The very next arrival is sampled again, as at a fresh start.
-    EXPECT_NE(t.maybeSample(1000), nullptr);
-    EXPECT_EQ(t.maybeSample(1010), nullptr);
-    EXPECT_EQ(t.traces().front().queryId, 0u);
-}
-
-TEST(TracerTest, UnfinishedTraceRecordsALostQuery)
-{
-    Tracer t(1);
-    QueryTrace *trace = t.maybeSample(500);
-    ASSERT_NE(trace, nullptr);
-    trace->addSpan("sparse/s0/queue", 500, 900);
-    // The pod crashed: finish() is never called.
-    EXPECT_FALSE(trace->completed);
-    EXPECT_EQ(trace->completion, 0);
-    ASSERT_EQ(trace->spans.size(), 1u);
-    EXPECT_EQ(trace->spans[0].end, 900);
-}
-
-TEST(TracerTest, FinishKeepsEqualStartSpanInsertionOrder)
-{
-    // Parallel fan-out spans start at the same instant; the sort must
-    // be stable so traced runs stay byte-reproducible.
-    Tracer t(1);
-    QueryTrace *trace = t.maybeSample(0);
-    ASSERT_NE(trace, nullptr);
-    trace->addSpan("rpc/s1/request", 100, 300);
-    trace->addSpan("rpc/s0/request", 100, 200);
-    trace->addSpan("dense/queue", 0, 100);
-    t.finish(trace, 400);
-    ASSERT_EQ(trace->spans.size(), 3u);
-    EXPECT_EQ(trace->spans[0].name, "dense/queue");
-    EXPECT_EQ(trace->spans[1].name, "rpc/s1/request");
-    EXPECT_EQ(trace->spans[2].name, "rpc/s0/request");
-}
-
 TEST(ExportTest, SkipsFamiliesWithNoChildren)
 {
     // remove() can empty a family (last pod gauge gone); the export
@@ -257,118 +188,126 @@ TEST(ExportTest, SkipsFamiliesWithNoChildren)
 
 TEST(ExportTest, TraceJsonLinesRoundTrip)
 {
-    std::deque<QueryTrace> traces;
-    QueryTrace a;
-    a.queryId = 7;
-    a.arrival = 1000;
-    a.completion = 5000;
-    a.completed = true;
-    a.addSpan("dense/queue", 1000, 1200);
-    a.addSpan("sparse/t0-s1/service", 1200, 4000);
-    traces.push_back(a);
-    QueryTrace b; // lost query: never completed, no spans
-    b.queryId = 8;
-    b.arrival = 2000;
-    traces.push_back(b);
+    // Trace 8 completed; trace 9 is a lost query: its root never
+    // closed and it has no other spans.
+    const std::uint64_t queue_id = (kRootSpanId << 8) | 1;
+    std::vector<SpanEvent> events = {
+        spanEvent(8, "query", 1000, 5000),
+        spanEvent(8, "dense/queue", 1000, 1200, queue_id, kRootSpanId),
+        spanEvent(8, "sparse/t0-s1/service", 1200, 4000,
+                  (kRootSpanId << 8) | 2, kRootSpanId),
+        spanEvent(9, "query", 2000, kOpenSpanEnd),
+    };
+    SpanEvent link = spanEvent(kBatchTraceBit | 3, "batch/member", 1100,
+                               1100);
+    link.kind = EventKind::Link;
+    link.arg = 8;
+    events.push_back(link);
 
-    const std::string text = toTraceJsonLines(traces);
+    const std::string text = jsonLines(events);
     const auto back = readTraceJsonLines(text);
-    ASSERT_EQ(back.size(), 2u);
-    EXPECT_EQ(back[0].queryId, 7u);
-    EXPECT_EQ(back[0].arrival, 1000);
-    EXPECT_EQ(back[0].completion, 5000);
-    EXPECT_TRUE(back[0].completed);
-    ASSERT_EQ(back[0].spans.size(), 2u);
-    EXPECT_EQ(back[0].spans[0].name, "dense/queue");
-    EXPECT_EQ(back[0].spans[0].start, 1000);
-    EXPECT_EQ(back[0].spans[0].end, 1200);
-    EXPECT_EQ(back[0].spans[1].name, "sparse/t0-s1/service");
-    EXPECT_FALSE(back[1].completed);
-    EXPECT_TRUE(back[1].spans.empty());
+    ASSERT_EQ(back.size(), 5u);
+    EXPECT_EQ(back[0].traceId, 8u);
+    EXPECT_EQ(back[0].startUs, 1000);
+    EXPECT_EQ(back[0].endUs, 5000);
+    EXPECT_EQ(spanName(back[1].name), "dense/queue");
+    EXPECT_EQ(back[1].startUs, 1000);
+    EXPECT_EQ(back[1].endUs, 1200);
+    EXPECT_EQ(spanName(back[2].name), "sparse/t0-s1/service");
+    EXPECT_EQ(back[3].endUs, kOpenSpanEnd);
+    // Batch trace ids use the top bit; links keep kind and member.
+    EXPECT_EQ(back[4].traceId, kBatchTraceBit | 3);
+    EXPECT_EQ(back[4].kind, EventKind::Link);
+    EXPECT_EQ(back[4].arg, 8u);
 
-    // Writing the parsed traces again is byte-identical.
-    std::deque<QueryTrace> again(back.begin(), back.end());
-    EXPECT_EQ(toTraceJsonLines(again), text);
+    // Writing the parsed events again is byte-identical.
+    EXPECT_EQ(jsonLines(back), text);
 }
 
 TEST(ExportTest, CausalTraceRoundTripKeepsIdsAndValidates)
 {
-    const NameId query = internSpanName("query");
-    const NameId rpc = internSpanName("rpc/t0-s0/request");
-
-    std::deque<QueryTrace> traces;
-    QueryTrace t;
-    t.queryId = 4;
-    t.traceId = 5;
-    t.arrival = 1000;
-    t.completion = 9000;
-    t.completed = true;
-    t.addSpan(query, 1000, 9000, kRootSpanId, 0);
-    t.addSpan(rpc, 1500, 8000, (kRootSpanId << 8) | 3, kRootSpanId);
-    traces.push_back(t);
+    const std::vector<SpanEvent> events = {
+        spanEvent(5, "query", 1000, 9000),
+        spanEvent(5, "rpc/t0-s0/request", 1500, 8000,
+                  (kRootSpanId << 8) | 3, kRootSpanId),
+    };
 
     // The causal fields survive the JSON-lines round trip.
-    const auto back = readTraceJsonLines(toTraceJsonLines(traces));
-    ASSERT_EQ(back.size(), 1u);
+    const auto back = readTraceJsonLines(jsonLines(events));
+    ASSERT_EQ(back.size(), 2u);
     EXPECT_EQ(back[0].traceId, 5u);
-    ASSERT_EQ(back[0].spans.size(), 2u);
-    EXPECT_EQ(back[0].spans[0].spanId, kRootSpanId);
-    EXPECT_EQ(back[0].spans[0].parentId, 0u);
-    EXPECT_EQ(back[0].spans[1].spanId, (kRootSpanId << 8) | 3);
-    EXPECT_EQ(back[0].spans[1].parentId, kRootSpanId);
+    EXPECT_EQ(back[0].spanId, kRootSpanId);
+    EXPECT_EQ(back[0].parentId, 0u);
+    EXPECT_EQ(back[1].spanId, (kRootSpanId << 8) | 3);
+    EXPECT_EQ(back[1].parentId, kRootSpanId);
 
-    // And the round-tripped trace satisfies erec_trace/v1.
+    // And the round-tripped trace satisfies erec_trace/v2.
     EXPECT_EQ(validateTraceSchema(back), std::vector<std::string>{});
 }
 
 TEST(TraceSchemaTest, FlagsStructuralViolations)
 {
-    std::vector<QueryTrace> traces;
-    QueryTrace t;
-    t.queryId = 1;
-    t.arrival = 100;
-    t.completion = 50; // Completion precedes arrival.
-    t.completed = true;
-    t.addSpan("backwards", 400, 300);             // end < start
-    t.addSpan("late", 500, 600);                  // outlives completion
-    auto &orphan = t.spans.emplace_back();
-    orphan.name = "orphan";
-    orphan.spanId = 99;
-    orphan.parentId = 42; // Parent never recorded; trace is completed.
-    traces.push_back(t);
+    std::vector<SpanEvent> events = {
+        // Completion (50) precedes arrival (100): not the open marker.
+        spanEvent(1, "query", 100, 50),
+        spanEvent(1, "backwards", 400, 300, (kRootSpanId << 8) | 1,
+                  kRootSpanId),
+        spanEvent(1, "late", 500, 600, (kRootSpanId << 8) | 2,
+                  kRootSpanId),
+        // Parent never recorded.
+        spanEvent(1, "orphan", 100, 100, 99, 42),
+    };
+    EXPECT_GE(validateTraceSchema(events).size(), 4u);
 
-    const auto errors = validateTraceSchema(traces);
-    EXPECT_GE(errors.size(), 4u);
+    // An open root is the lost/in-flight marker and is valid; it is
+    // the only span allowed to be open.
+    events[0].endUs = kOpenSpanEnd;
+    events.erase(events.begin() + 1); // Drop end < start.
+    events.pop_back();                // Drop the orphan.
+    EXPECT_EQ(validateTraceSchema(events), std::vector<std::string>{});
+    events[1].endUs = kOpenSpanEnd;
+    EXPECT_EQ(validateTraceSchema(events).size(), 1u);
 
-    // The same dangling parent is legitimate on an *open* trace: the
-    // enclosing spans only close at completion, so mid-flight exports
-    // must not be rejected for them.
-    traces[0].completed = false;
-    traces[0].spans.erase(traces[0].spans.begin()); // Drop end<start.
-    const auto open_errors = validateTraceSchema(traces);
-    EXPECT_EQ(open_errors, std::vector<std::string>{});
+    // Links must name a member and hang off a span of their trace.
+    SpanEvent link = spanEvent(kBatchTraceBit | 1, "batch/member", 0, 0);
+    link.kind = EventKind::Link;
+    EXPECT_EQ(validateTraceSchema({link}).size(), 2u);
 }
 
 TEST(ExportTest, TraceReaderRejectsMalformedInput)
 {
+    const std::string good =
+        jsonLines({spanEvent(1, "query", 0, 1)});
+    EXPECT_NO_THROW(readTraceJsonLines(good));
     EXPECT_THROW(readTraceJsonLines("not json\n"), ConfigError);
-    EXPECT_THROW(readTraceJsonLines("{\"query_id\":1\n"), ConfigError);
+    EXPECT_THROW(readTraceJsonLines("{\"trace_id\":1\n"), ConfigError);
     EXPECT_THROW(readTraceJsonLines("{\"mystery_key\":1}\n"),
                  ConfigError);
+    // Every key is required, exactly once.
+    std::string missing = good;
+    missing.replace(missing.find(",\"arg\":0"), 8, "");
+    EXPECT_THROW(readTraceJsonLines(missing), ConfigError);
+    std::string dup = good;
+    dup.insert(dup.find(",\"arg\""), ",\"arg\":0");
+    EXPECT_THROW(readTraceJsonLines(dup), ConfigError);
+    // Ids are unsigned 64-bit: overflow and negatives are errors.
+    std::string big = good;
+    big.replace(big.find("\"trace_id\":1"), 12,
+                "\"trace_id\":18446744073709551616");
+    EXPECT_THROW(readTraceJsonLines(big), ConfigError);
+    std::string neg = good;
+    neg.replace(neg.find("\"trace_id\":1"), 12, "\"trace_id\":-1");
+    EXPECT_THROW(readTraceJsonLines(neg), ConfigError);
 }
 
 TEST(ExportTest, JsonEscapesSpanNames)
 {
-    std::deque<QueryTrace> traces;
-    QueryTrace a;
-    a.queryId = 1;
-    a.addSpan("we\"ird\\name", 0, 1);
-    traces.push_back(a);
-    const std::string text = toTraceJsonLines(traces);
+    const std::string text =
+        jsonLines({spanEvent(1, "we\"ird\\name", 0, 1)});
     EXPECT_NE(text.find("we\\\"ird\\\\name"), std::string::npos);
     const auto back = readTraceJsonLines(text);
     ASSERT_EQ(back.size(), 1u);
-    EXPECT_EQ(back[0].spans[0].name, "we\"ird\\name");
+    EXPECT_EQ(spanName(back[0].name), "we\"ird\\name");
 }
 
 } // namespace

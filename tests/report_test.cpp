@@ -2,9 +2,10 @@
  * @file
  * Tests for per-stage latency attribution and report rendering
  * (elasticrec/obs/report): span-name normalization, stage aggregation
- * over hand-built traces, alert-log rollups, the text renderers, and a
- * full-simulation cross-check where every query is traced and the
- * attribution totals must match the run's own SimResult accounting.
+ * and critical paths over hand-built span trees, alert-log rollups,
+ * the text renderers, and a full-simulation cross-check where every
+ * query is traced and the attribution totals must match the run's own
+ * SimResult accounting.
  */
 
 #include <gtest/gtest.h>
@@ -32,125 +33,122 @@ TEST(StageOfTest, StripsPerDeploymentSegment)
     EXPECT_EQ(stageOf("merge"), "merge");
 }
 
-QueryTrace
-completedTrace(std::uint64_t id, SimTime arrival, SimTime completion)
+/** One span of trace `trace_id`; the default ids make it the root. */
+SpanEvent
+span(std::uint64_t trace_id, const std::string &name, SimTime start,
+     SimTime end, std::uint64_t span_id = kRootSpanId,
+     std::uint64_t parent_id = 0)
 {
-    QueryTrace t;
-    t.queryId = id;
-    t.arrival = arrival;
-    t.completion = completion;
-    t.completed = true;
-    return t;
+    SpanEvent e;
+    e.traceId = trace_id;
+    e.spanId = span_id;
+    e.parentId = parent_id;
+    e.startUs = start;
+    e.endUs = end;
+    e.name = internSpanName(name);
+    return e;
 }
+
+/** A child of trace `trace_id`'s root in child slot `slot`. */
+SpanEvent
+child(std::uint64_t trace_id, unsigned slot, const std::string &name,
+      SimTime start, SimTime end)
+{
+    const TraceContext root{trace_id, kRootSpanId};
+    return span(trace_id, name, start, end, root.childSpanId(slot),
+                kRootSpanId);
+}
+
+constexpr SimTime kMs = units::kMillisecond;
 
 TEST(AttributeStagesTest, AggregatesNormalizedStages)
 {
-    std::vector<QueryTrace> traces;
-    // Query 0: 10 ms end to end; queue 2 ms, two shard RPCs 4 ms each.
-    auto a = completedTrace(0, 0, 10 * units::kMillisecond);
-    a.addSpan("dense/queue", 0, 2 * units::kMillisecond);
-    a.addSpan("rpc/s0/request", 2 * units::kMillisecond,
-              6 * units::kMillisecond);
-    a.addSpan("rpc/s1/request", 2 * units::kMillisecond,
-              6 * units::kMillisecond);
-    traces.push_back(a);
-    // Query 1: 20 ms end to end; queue 6 ms.
-    auto b = completedTrace(1, 100 * units::kMillisecond,
-                            120 * units::kMillisecond);
-    b.addSpan("dense/queue", 100 * units::kMillisecond,
-              106 * units::kMillisecond);
-    traces.push_back(b);
-    // Query 2: lost — spans must not contribute.
-    QueryTrace lost;
-    lost.queryId = 2;
-    lost.arrival = 200 * units::kMillisecond;
-    lost.addSpan("dense/queue", 200 * units::kMillisecond,
-                 201 * units::kMillisecond);
-    traces.push_back(lost);
+    const auto trees = buildSpanTrees({
+        // Query 1: 10 ms end to end; queue 2 ms, two shard RPCs 4 ms
+        // each.
+        span(1, "query", 0, 10 * kMs),
+        child(1, 0, "dense/queue", 0, 2 * kMs),
+        child(1, 2, "rpc/s0/request", 2 * kMs, 6 * kMs),
+        child(1, 3, "rpc/s1/request", 2 * kMs, 6 * kMs),
+        // Query 2: 20 ms end to end; queue 6 ms.
+        span(2, "query", 100 * kMs, 120 * kMs),
+        child(2, 0, "dense/queue", 100 * kMs, 106 * kMs),
+        // Query 3: lost (open root) — spans must not contribute.
+        span(3, "query", 200 * kMs, kOpenSpanEnd),
+        child(3, 0, "dense/queue", 200 * kMs, 201 * kMs),
+    });
 
-    const auto report = attributeStages(traces);
+    const auto report = attributeStages(trees);
     EXPECT_EQ(report.tracedQueries, 3u);
     EXPECT_EQ(report.completedTraces, 2u);
     EXPECT_EQ(report.lostTraces, 1u);
     EXPECT_DOUBLE_EQ(report.endToEndTotalMs, 30.0);
     EXPECT_DOUBLE_EQ(report.meanEndToEndMs, 15.0);
 
-    ASSERT_EQ(report.stages.size(), 2u);
+    // The root spans form the `query` stage: exactly the end-to-end
+    // total, so it leads the table.
+    ASSERT_EQ(report.stages.size(), 3u);
+    EXPECT_EQ(report.stages[0].stage, "query");
+    EXPECT_DOUBLE_EQ(report.stages[0].totalMs, 30.0);
     // dense/queue: 2 + 6 = 8 ms total, rpc/request: 4 + 4 = 8 ms;
     // equal totals tie-break by name.
-    EXPECT_EQ(report.stages[0].stage, "dense/queue");
-    EXPECT_EQ(report.stages[0].spans, 2u);
-    EXPECT_DOUBLE_EQ(report.stages[0].totalMs, 8.0);
-    EXPECT_DOUBLE_EQ(report.stages[0].meanMs, 4.0);
-    EXPECT_DOUBLE_EQ(report.stages[0].shareOfEndToEnd, 8.0 / 30.0);
-    EXPECT_EQ(report.stages[1].stage, "rpc/request");
+    EXPECT_EQ(report.stages[1].stage, "dense/queue");
     EXPECT_EQ(report.stages[1].spans, 2u);
     EXPECT_DOUBLE_EQ(report.stages[1].totalMs, 8.0);
+    EXPECT_DOUBLE_EQ(report.stages[1].meanMs, 4.0);
+    EXPECT_DOUBLE_EQ(report.stages[1].shareOfEndToEnd, 8.0 / 30.0);
+    EXPECT_EQ(report.stages[2].stage, "rpc/request");
+    EXPECT_EQ(report.stages[2].spans, 2u);
+    EXPECT_DOUBLE_EQ(report.stages[2].totalMs, 8.0);
 }
 
 TEST(AttributeStagesTest, OpenSpansStayOutOfSketchesButAreCounted)
 {
-    std::vector<QueryTrace> traces;
-    // A completed trace with one closed span and one span that was
-    // still open at export (end precedes start): the open span must
-    // not poison the stage statistics with a bogus duration.
-    auto a = completedTrace(0, 0, 10 * units::kMillisecond);
-    a.addSpan("dense/queue", 0, 2 * units::kMillisecond);
-    a.addSpan("dense/compute", 5 * units::kMillisecond, 0);
-    traces.push_back(a);
-    // A lost trace: every one of its spans is open by definition.
-    QueryTrace lost;
-    lost.queryId = 1;
-    lost.arrival = 50 * units::kMillisecond;
-    lost.addSpan("dense/queue", 50 * units::kMillisecond,
-                 51 * units::kMillisecond);
-    lost.addSpan("rpc/s0/request", 51 * units::kMillisecond,
-                 53 * units::kMillisecond);
-    traces.push_back(lost);
+    const auto trees = buildSpanTrees({
+        // A completed trace with one closed span and one span that was
+        // still open at export (end precedes start): the open span
+        // must not poison the stage statistics with a bogus duration.
+        span(1, "query", 0, 10 * kMs),
+        child(1, 0, "dense/queue", 0, 2 * kMs),
+        child(1, 1, "dense/compute", 5 * kMs, 0),
+        // A lost trace: every one of its spans is open by definition,
+        // its open root included.
+        span(2, "query", 50 * kMs, kOpenSpanEnd),
+        child(2, 0, "dense/queue", 50 * kMs, 51 * kMs),
+        child(2, 2, "rpc/s0/request", 51 * kMs, 53 * kMs),
+    });
 
-    const auto report = attributeStages(traces);
+    const auto report = attributeStages(trees);
     EXPECT_EQ(report.lostTraces, 1u);
-    // 1 open span on the completed trace + 2 on the lost trace.
-    EXPECT_EQ(report.openSpans, 3u);
-    // Only the closed dense/queue span of the completed trace reaches
-    // the sketches: no dense/compute stage, no rpc/request stage, and
-    // exactly one counted span.
-    ASSERT_EQ(report.stages.size(), 1u);
-    EXPECT_EQ(report.stages[0].stage, "dense/queue");
-    EXPECT_EQ(report.stages[0].spans, 1u);
-    EXPECT_DOUBLE_EQ(report.stages[0].totalMs, 2.0);
+    // 1 open span on the completed trace + 3 on the lost trace.
+    EXPECT_EQ(report.openSpans, 4u);
+    // Only the completed trace's closed spans reach the sketches: no
+    // dense/compute stage, no rpc/request stage, and exactly one
+    // counted dense/queue span.
+    ASSERT_EQ(report.stages.size(), 2u);
+    EXPECT_EQ(report.stages[0].stage, "query");
+    EXPECT_EQ(report.stages[1].stage, "dense/queue");
+    EXPECT_EQ(report.stages[1].spans, 1u);
+    EXPECT_DOUBLE_EQ(report.stages[1].totalMs, 2.0);
 }
 
 TEST(CriticalPathTest, FollowsTheChildThatBoundsCompletion)
 {
-    const NameId query = internSpanName("query");
-    const NameId rpc = internSpanName("rpc/s0/request");
-    const NameId service = internSpanName("sparse/s0/service");
-    const NameId dense = internSpanName("dense/compute");
-
-    std::vector<QueryTrace> traces;
-    for (int i = 0; i < 2; ++i) {
-        auto t = completedTrace(static_cast<std::uint64_t>(i), 0,
-                                10 * units::kMillisecond);
-        t.traceId = static_cast<std::uint64_t>(i) + 1;
-        const std::uint64_t rpc_id = (kRootSpanId << 8) | 3;
-        t.addSpan(query, 0, 10 * units::kMillisecond, kRootSpanId, 0);
+    std::vector<SpanEvent> events;
+    for (std::uint64_t id = 1; id <= 2; ++id) {
+        const TraceContext rpc = TraceContext{id, kRootSpanId}.child(2);
+        events.push_back(span(id, "query", 0, 10 * kMs));
         // The gather RPC (ends at 9 ms) bounds completion; dense
         // compute (5 ms) does not.
-        t.addSpan(rpc, 0, 9 * units::kMillisecond, rpc_id,
-                  kRootSpanId);
-        t.addSpan(service, 2 * units::kMillisecond,
-                  8 * units::kMillisecond, (rpc_id << 8) | 2, rpc_id);
-        t.addSpan(dense, 0, 5 * units::kMillisecond,
-                  (kRootSpanId << 8) | 2, kRootSpanId);
-        traces.push_back(t);
+        events.push_back(child(id, 2, "rpc/s0/request", 0, 9 * kMs));
+        events.push_back(span(id, "sparse/s0/service", 2 * kMs, 8 * kMs,
+                              rpc.childSpanId(1), rpc.spanId));
+        events.push_back(child(id, 1, "dense/compute", 0, 5 * kMs));
     }
     // A lost trace contributes nothing to critical paths.
-    QueryTrace lost;
-    lost.queryId = 9;
-    traces.push_back(lost);
+    events.push_back(span(9, "query", 0, kOpenSpanEnd));
 
-    const auto report = analyzeCriticalPaths(traces);
+    const auto report = analyzeCriticalPaths(buildSpanTrees(events));
     EXPECT_EQ(report.analyzedTraces, 2u);
     ASSERT_EQ(report.chains.size(), 1u);
     // Per-deployment segments normalize away, so many-shard runs
@@ -161,23 +159,24 @@ TEST(CriticalPathTest, FollowsTheChildThatBoundsCompletion)
     EXPECT_DOUBLE_EQ(report.chains[0].meanMs, 10.0);
 }
 
-TEST(CriticalPathTest, FlatLegacyTracesDegradeToOneHop)
+TEST(AttributeStagesTest, BatchTracesStayOutOfTheReport)
 {
-    std::vector<QueryTrace> traces;
-    auto t = completedTrace(0, 0, 10 * units::kMillisecond);
-    t.addSpan("mono/queue", 0, 2 * units::kMillisecond);
-    t.addSpan("mono/service", 2 * units::kMillisecond,
-              9 * units::kMillisecond);
-    traces.push_back(t);
-
-    const auto report = analyzeCriticalPaths(traces);
-    ASSERT_EQ(report.chains.size(), 1u);
-    EXPECT_EQ(report.chains[0].chain, "mono/service");
+    // A native serving run's batch traces describe coalescing, not a
+    // query: neither table may count them.
+    const auto trees = buildSpanTrees({
+        span(1, "serving/query", 0, 4 * kMs),
+        span(kBatchTraceBit | 1, "serving/batch", 1 * kMs, 3 * kMs),
+    });
+    const auto stages = attributeStages(trees);
+    EXPECT_EQ(stages.tracedQueries, 1u);
+    ASSERT_EQ(stages.stages.size(), 1u);
+    EXPECT_EQ(stages.stages[0].stage, "serving/query");
+    EXPECT_EQ(analyzeCriticalPaths(trees).analyzedTraces, 1u);
 }
 
 TEST(AttributeStagesTest, EmptyInputYieldsEmptyReport)
 {
-    const auto report = attributeStages(std::vector<QueryTrace>{});
+    const auto report = attributeStages({});
     EXPECT_TRUE(report.stages.empty());
     EXPECT_EQ(report.tracedQueries, 0u);
     EXPECT_DOUBLE_EQ(report.endToEndTotalMs, 0.0);
@@ -207,13 +206,12 @@ TEST(SummarizeAlertsTest, RollsUpTransitionsPerAlert)
 TEST(ReportRenderTest, SectionsAreSelfDescribing)
 {
     std::ostringstream empty_table;
-    writeStageTable(empty_table, attributeStages(std::vector<QueryTrace>{}));
+    writeStageTable(empty_table, attributeStages({}));
     EXPECT_NE(empty_table.str().find("no completed traces"),
               std::string::npos);
 
     std::ostringstream empty_paths;
-    writeCriticalPathTable(empty_paths,
-                           analyzeCriticalPaths(std::vector<QueryTrace>{}));
+    writeCriticalPathTable(empty_paths, analyzeCriticalPaths({}));
     EXPECT_NE(empty_paths.str().find("no completed traces"),
               std::string::npos);
 
@@ -252,7 +250,7 @@ TEST(ReportSimTest, StageSumsCrossCheckSimResult)
     const auto r = sim.run(2 * units::kMinute);
     ASSERT_GT(r.completed, 0u);
 
-    const auto report = attributeStages(sim.traces());
+    const auto report = attributeStages(buildSpanTrees(sim.spans()));
     EXPECT_EQ(report.tracedQueries, r.arrivals);
     EXPECT_EQ(report.completedTraces, r.completed);
     EXPECT_EQ(report.lostTraces, r.arrivals - r.completed);

@@ -7,7 +7,8 @@
  *  - EventTime sampling must produce the identical SimResult (it only
  *    changes per-pod gauge export),
  *  - the steady query path must be allocation-free (AllocGate pin on
- *    the sim.query_path region).
+ *    the sim.query_path region), and the traced path must allocate
+ *    less than once per traced query.
  *
  * EREC_TEST_GOLDEN_DIR is injected by the build and points at the
  * checked-in golden CSVs.
@@ -109,7 +110,7 @@ TEST(SimGoldenTest, TracingLeavesResultsUntouched)
     EXPECT_EQ(csvOf(result),
               readFile(std::string(EREC_TEST_GOLDEN_DIR) +
                        "/fig19_elasticrec.csv"));
-    EXPECT_FALSE(er.traces().empty());
+    EXPECT_FALSE(er.spans().empty());
 }
 
 TEST(SimGoldenTest, EventTimeSamplingMatchesCompatTick)
@@ -151,24 +152,39 @@ TEST(SimGoldenTest, EventTimeSamplingMatchesCompatTick)
               std::string::npos);
 }
 
-TEST(SimGoldenTest, SteadyQueryPathIsAllocationFree)
+/** What the sim.query_path region saw during a steady run leg. */
+struct SteadyLeg
 {
-    // Warm one simulation past its peak in-flight population, zero the
-    // region counters, then keep running: the gated query-path events
-    // (arrival, RPC arrival, stage done, component done) must not
-    // allocate at all.
-    //
-    // The warm-up leg runs at twice the measurement rate on the same
-    // fixed fleet, so every capacity high-water mark (stage rings,
-    // query arena, event heap, rate windows) is set during warm-up —
-    // at equal rates the depth maximum keeps creeping up and any new
-    // record would allocate once inside the gate.
+    SimResult result;
+    bool found = false;
+    std::uint64_t enters = 0;
+    std::uint64_t allocs = 0;
+    /** Queries the leg sampled (root spans recorded). */
+    std::uint64_t tracedQueries = 0;
+};
+
+/**
+ * Warm one simulation past its peak in-flight population, zero the
+ * region counters, then keep running and report the gated query-path
+ * events' (arrival, RPC arrival, stage done, component done)
+ * allocations in that second leg.
+ *
+ * The warm-up leg runs at twice the measurement rate on the same
+ * fixed fleet, so every capacity high-water mark (stage rings, query
+ * arena, event heap, rate windows) is set during warm-up — at equal
+ * rates the depth maximum keeps creeping up and any new record would
+ * allocate once inside the gate.
+ */
+SteadyLeg
+runSteadyLeg(std::uint32_t trace_sample_every)
+{
     const Fig19Setup setup;
     SimOptions opt;
     opt.seed = 7;
     opt.autoscale = false; // fixed fleet: no pod churn
     opt.warmStart = true;  // sized for the 90-QPS warm-up rate
     opt.sampling = SamplingMode::EventTime;
+    opt.traceSampleEvery = trace_sample_every;
     const workload::TrafficPattern warm_then_measure(
         {{0, 90.0}, {30 * units::kSecond, 45.0}});
     ClusterSimulation er(setup.elasticRec, setup.node,
@@ -178,20 +194,44 @@ TEST(SimGoldenTest, SteadyQueryPathIsAllocationFree)
     resetAllocRegionStats();
     // Same simulation object: the clock, arena and rings carry over,
     // so this second leg is pure steady state.
-    const auto result = er.run(90 * units::kSecond);
-    EXPECT_GT(result.completed, 1000u);
-
-    bool found = false;
+    SteadyLeg leg;
+    leg.result = er.run(90 * units::kSecond);
     for (const auto &region : allocRegionStats()) {
         if (std::string(region.name) != "sim.query_path")
             continue;
-        found = true;
-        EXPECT_GT(region.enters, 0u)
-            << "gate never entered: the pin is vacuous";
-        EXPECT_EQ(region.allocs, 0u)
-            << "query-path events allocated on the steady path";
+        leg.found = true;
+        leg.enters = region.enters;
+        leg.allocs = region.allocs;
     }
-    EXPECT_TRUE(found) << "sim.query_path region not registered";
+    for (const auto &e : er.spans())
+        leg.tracedQueries += e.spanId == obs::kRootSpanId ? 1 : 0;
+    return leg;
+}
+
+TEST(SimGoldenTest, SteadyQueryPathIsAllocationFree)
+{
+    const SteadyLeg leg = runSteadyLeg(0);
+    EXPECT_GT(leg.result.completed, 1000u);
+    ASSERT_TRUE(leg.found) << "sim.query_path region not registered";
+    EXPECT_GT(leg.enters, 0u) << "gate never entered: the pin is vacuous";
+    EXPECT_EQ(leg.allocs, 0u)
+        << "query-path events allocated on the steady path";
+}
+
+TEST(SimGoldenTest, TracedQueryPathAllocatesLessThanOncePerTrace)
+{
+    // Sampled queries append POD SpanEvents to one vector that keeps
+    // its capacity across runs, so the traced path allocates only when
+    // that vector's capacity doubles — far less than once per traced
+    // query.
+    const SteadyLeg leg = runSteadyLeg(100);
+    ASSERT_TRUE(leg.found);
+    ASSERT_GT(leg.tracedQueries, 10u);
+    EXPECT_LT(leg.allocs, leg.tracedQueries)
+        << leg.allocs << " allocations for " << leg.tracedQueries
+        << " traced queries";
+    RecordProperty("traced_queries", static_cast<int>(leg.tracedQueries));
+    RecordProperty("query_path_allocs", static_cast<int>(leg.allocs));
 }
 
 } // namespace

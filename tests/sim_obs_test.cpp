@@ -1,11 +1,12 @@
 /**
  * @file
  * End-to-end telemetry tests: an autoscaled cluster simulation with 1%
- * query tracing must emit a Prometheus export and a JSON-lines trace
- * file that parse cleanly (via the promcheck parser) and cross-check
- * against the run's SimResult — completions, SLA violations and scale
- * events all match — while tracing itself never perturbs the
- * simulation or its determinism.
+ * query tracing must emit a Prometheus export, an erec_trace/v2
+ * JSON-lines file and a Perfetto trace that parse cleanly (via the
+ * promcheck parsers) and cross-check against the run's SimResult —
+ * completions, SLA violations and scale events all match — while
+ * tracing itself never perturbs the simulation or its determinism,
+ * and re-running one traced simulation records only the new run.
  */
 
 #include <gtest/gtest.h>
@@ -17,6 +18,9 @@
 #include "elasticrec/core/planner.h"
 #include "elasticrec/hw/platform.h"
 #include "elasticrec/obs/export.h"
+#include "elasticrec/obs/perfetto.h"
+#include "elasticrec/obs/report.h"
+#include "elasticrec/obs/trace_schema.h"
 #include "elasticrec/sim/cluster_sim.h"
 #include "elasticrec/sim/experiment.h"
 #include "tools/promcheck/prom_parser.h"
@@ -71,7 +75,7 @@ TEST(SimObsTest, ExportedTelemetryCrossChecksSimResult)
                      "erec_sim_obs_test";
     std::filesystem::remove_all(dir);
     obs::writeMetricsFiles(dir.string(), "run", sim.observability(),
-                           {.traces = &sim.traces(),
+                           {.spans = &sim.spans(),
                             .alerts = &sim.alertEvents()});
 
     // The Prometheus export parses and passes histogram invariants.
@@ -114,10 +118,14 @@ TEST(SimObsTest, ExportedTelemetryCrossChecksSimResult)
                          {{"deployment", frontend}}),
               static_cast<double>(r.completed));
 
-    // The trace file re-reads and matches the in-memory traces.
-    const auto traces =
+    // The trace file re-reads and matches the in-memory events, and
+    // the Perfetto export next to it validates.
+    const auto events =
         obs::readTraceJsonLines(readFile(dir / "run_traces.jsonl"));
-    EXPECT_EQ(traces.size(), sim.traces().size());
+    EXPECT_EQ(events.size(), sim.spans().size());
+    EXPECT_EQ(obs::validatePerfettoJson(
+                  readFile(dir / "run_perfetto.json")),
+              std::vector<std::string>{});
     std::filesystem::remove_all(dir);
 }
 
@@ -129,26 +137,32 @@ TEST(SimObsTest, TracesObeySpanInvariants)
                           tracedOptions());
     const auto r = sim.run(5 * units::kMinute);
 
-    // 1% sampling: one trace per 100 arrivals, first arrival included.
+    // 1% sampling: one trace per 100 arrivals, first arrival included,
+    // with trace id = arrival index + 1.
     ASSERT_GT(r.arrivals, 100u);
-    EXPECT_EQ(sim.traces().size(), (r.arrivals - 1) / 100 + 1);
+    const auto trees = obs::buildSpanTrees(sim.spans());
+    ASSERT_EQ(trees.size(), (r.arrivals - 1) / 100 + 1);
+    for (std::size_t i = 0; i < trees.size(); ++i)
+        EXPECT_EQ(trees[i].traceId, 100 * i + 1);
+    EXPECT_EQ(obs::validateTraceSchema(sim.spans()),
+              std::vector<std::string>{});
 
     std::size_t completed_traces = 0;
-    for (const auto &trace : sim.traces()) {
-        if (!trace.completed)
+    for (const auto &tree : trees) {
+        const obs::SpanEvent &root = tree.nodes[tree.root].event;
+        ASSERT_EQ(root.spanId, obs::kRootSpanId);
+        if (root.endUs == obs::kOpenSpanEnd)
             continue;
         ++completed_traces;
-        EXPECT_GE(trace.completion, trace.arrival);
-        SimTime last_start = trace.arrival;
-        for (const auto &span : trace.spans) {
-            EXPECT_LE(span.start, span.end) << span.name;
-            EXPECT_GE(span.start, trace.arrival) << span.name;
-            EXPECT_LE(span.end, trace.completion) << span.name;
-            EXPECT_GE(span.start, last_start)
-                << span.name << ": spans not sorted by start";
-            last_start = span.start;
+        EXPECT_GE(root.endUs, root.startUs);
+        for (const auto &node : tree.nodes) {
+            const obs::SpanEvent &span = node.event;
+            const std::string &name = obs::spanName(span.name);
+            EXPECT_LE(span.startUs, span.endUs) << name;
+            EXPECT_GE(span.startUs, root.startUs) << name;
+            EXPECT_LE(span.endUs, root.endUs) << name;
         }
-        EXPECT_FALSE(trace.spans.empty());
+        EXPECT_GT(tree.nodes.size(), 1u);
     }
     EXPECT_GT(completed_traces, 0u);
 }
@@ -166,8 +180,11 @@ TEST(SimObsTest, TracedRunsAreByteIdenticalForSameSeed)
 
     EXPECT_EQ(obs::toPrometheusText(a.observability()),
               obs::toPrometheusText(b.observability()));
-    EXPECT_EQ(obs::toTraceJsonLines(a.traces()),
-              obs::toTraceJsonLines(b.traces()));
+    std::ostringstream a_lines, b_lines;
+    obs::writeTraceJsonLines(a_lines, a.spans());
+    obs::writeTraceJsonLines(b_lines, b.spans());
+    EXPECT_FALSE(a.spans().empty());
+    EXPECT_EQ(a_lines.str(), b_lines.str());
 }
 
 TEST(SimObsTest, TracingDoesNotPerturbTheSimulation)
@@ -190,6 +207,39 @@ TEST(SimObsTest, TracingDoesNotPerturbTheSimulation)
     EXPECT_DOUBLE_EQ(r_off.meanLatencyMs, r_on.meanLatencyMs);
     EXPECT_EQ(r_off.peakMemory, r_on.peakMemory);
     EXPECT_EQ(r_off.scaleEvents, r_on.scaleEvents);
+    EXPECT_TRUE(base.spans().empty()) << "sampling off records nothing";
+}
+
+TEST(SimObsTest, RerunOnOneObjectTracesOnlyTheNewRun)
+{
+    // A second run() on the same object inherits the first run's
+    // in-flight queries. They must finish untraced: the span vector
+    // they pointed into is cleared, and their trace ids would collide
+    // with the new run's.
+    const auto config = model::rm1();
+    const auto node = hw::cpuOnlyNode();
+    SimOptions opt;
+    opt.seed = 7;
+    opt.autoscale = false;
+    opt.sampling = SamplingMode::EventTime;
+    opt.traceSampleEvery = 1;
+    ClusterSimulation sim(erPlan(config, node), node,
+                          workload::TrafficPattern(
+                              {{0, 90.0}, {10 * units::kSecond, 45.0}}),
+                          opt);
+    sim.run(10 * units::kSecond);
+    const auto r = sim.run(30 * units::kSecond);
+    ASSERT_GT(r.arrivals, 0u);
+
+    EXPECT_EQ(obs::validateTraceSchema(sim.spans()),
+              std::vector<std::string>{});
+    const auto report =
+        obs::attributeStages(obs::buildSpanTrees(sim.spans()));
+    EXPECT_EQ(report.tracedQueries, r.arrivals);
+    // Completions of carried-over queries count in the SimResult but
+    // were not traced.
+    EXPECT_LE(report.completedTraces, r.completed);
+    EXPECT_GT(report.completedTraces, 0u);
 }
 
 TEST(SimObsTest, PromcheckRejectsHeaderOnlyFamilies)
@@ -217,13 +267,23 @@ TEST(SimObsTest, PodFailureFiresLostQueriesAlert)
     const auto plan = erPlan(config, node);
     SimOptions opt;
     opt.seed = 11;
+    opt.traceSampleEvery = 10;
     ClusterSimulation sim(plan, node,
                           workload::TrafficPattern::constant(60.0),
                           opt);
     sim.injectPodFailure(plan.frontendShard().name, units::kMinute, 1);
-    sim.run(3 * units::kMinute);
+    const auto r = sim.run(3 * units::kMinute);
     ASSERT_GT(sim.lostQueries(), 0u)
         << "crash must lose in-flight queries";
+
+    // Sampled lost queries keep their root span open, and the open
+    // root is the only open span the schema admits.
+    EXPECT_EQ(obs::validateTraceSchema(sim.spans()),
+              std::vector<std::string>{});
+    const auto traced =
+        obs::attributeStages(obs::buildSpanTrees(sim.spans()));
+    EXPECT_GT(traced.lostTraces, 0u);
+    EXPECT_LE(traced.lostTraces, r.arrivals - r.completed);
 
     EXPECT_TRUE(sim.slo().firing("lost-queries"));
     std::uint64_t fired = 0, resolved = 0;

@@ -145,19 +145,6 @@ lineRules()
             {},
         },
         {
-            "windowed-percentile",
-            std::regex(R"(\bWindowedPercentile\b)"),
-            "WindowedPercentile keeps every raw sample; monitoring "
-            "paths must use obs::WindowedQuantileSketch "
-            "(elasticrec/obs/sketch.h) for O(1) inserts and mergeable "
-            "state",
-            {FileClass::LibrarySource, FileClass::LibraryHeader,
-             FileClass::BenchSource, FileClass::ExampleSource},
-            {"common/stats.h", "common/stats.cc"},
-            {},
-            {},
-        },
-        {
             "raw-thread",
             std::regex(R"(\bstd\s*::\s*(thread|jthread)\b)"),
             "raw std::thread outside src/elasticrec/runtime/; serving "
@@ -441,53 +428,6 @@ checkHotPathAnnotation(const std::string &path,
     }
 }
 
-/**
- * trace-name-literal: span-recording calls in library code must be
- * handed interned NameIds, never an inline string literal or a
- * std::string temporary. The flight recorder's hot path stores a
- * 4-byte id per record; a string argument either allocates per span or
- * silently selects the legacy Tracer overload, and both defeat the
- * ERC_HOT_PATH allocation budget. Detection uses the RAW lines:
- * stripCommentsAndStrings blanks the quotes themselves, so the literal
- * is only visible in the original text. The call is located on the
- * stripped line first (so a prose mention in a comment can't trip the
- * rule), then the statement — joined across up to three continuation
- * lines, since formatters wrap the name argument — is scanned for a
- * quoted literal or a std::string construction.
- */
-void
-checkTraceNameLiteral(const std::string &path,
-                      const std::vector<std::string> &raw_lines,
-                      const std::vector<std::string> &stripped_lines,
-                      const Suppressions &sup,
-                      std::vector<Diagnostic> *diags)
-{
-    static const std::regex kTraceCall(
-        R"(\b(addSpan|recordSpan|recordLink)\s*\()");
-    static const std::regex kLiteralArg(
-        R"(\b(addSpan|recordSpan|recordLink)\s*\([^;]*("|\bstd\s*::\s*string\b))");
-    for (std::size_t i = 0; i < stripped_lines.size(); ++i) {
-        if (!std::regex_search(stripped_lines[i], kTraceCall))
-            continue;
-        const int line_no = static_cast<int>(i + 1);
-        if (sup.allows(line_no, "trace-name-literal"))
-            continue;
-        std::string stmt = raw_lines[i];
-        for (std::size_t j = i + 1;
-             j < raw_lines.size() && j < i + 4 &&
-             stmt.find(';') == std::string::npos;
-             ++j)
-            stmt += " " + raw_lines[j];
-        if (!std::regex_search(stmt, kLiteralArg))
-            continue;
-        diags->push_back(
-            {path, line_no, "trace-name-literal",
-             "span names on trace-record calls must be interned "
-             "NameIds (obs::internSpanName at static-init time), not "
-             "inline string literals or std::string temporaries"});
-    }
-}
-
 /** First non-blank line of stripped content, with its line number. */
 std::pair<std::string, int>
 firstCodeLine(const std::vector<std::string> &stripped_lines)
@@ -670,16 +610,6 @@ lintContent(const std::string &path, const std::string &content)
         !endsWith(path, "common/hotpath.h")) {
         checkHotPathAnnotation(path, raw_lines, stripped_lines, sup,
                                &diags);
-    }
-
-    // obs/trace.h declares the legacy string-name Tracer overload the
-    // rule steers library code away from (tools and tests still use
-    // it); everywhere else in the library, trace names must be ids.
-    if ((cls == FileClass::LibrarySource ||
-         cls == FileClass::LibraryHeader) &&
-        !endsWith(path, "obs/trace.h")) {
-        checkTraceNameLiteral(path, raw_lines, stripped_lines, sup,
-                              &diags);
     }
 
     // Same exemption mechanism as the rule table's exemptDirs:

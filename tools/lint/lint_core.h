@@ -42,12 +42,6 @@
  *    and ERC_HOT_PATH_ALLOW must carry a non-empty string reason
  *    (the waiver is the documentation). common/hotpath.h itself is
  *    exempt.
- *  - trace-name-literal: span-recording calls (addSpan, recordSpan,
- *    recordLink) in library code must pass interned obs::NameIds —
- *    never an inline string literal or std::string temporary, which
- *    would allocate on the flight recorder's hot path or silently
- *    select the legacy string overload. obs/trace.h (which declares
- *    that legacy overload for tools and tests) is exempt.
  *  - excess-default-params: no parameter list in a library header may
  *    declare more than two defaulted parameters — long trails of
  *    positional defaults are unreadable at call sites; fold them into

@@ -8,9 +8,9 @@
  * format (including histogram invariants); `_alerts.jsonl` files are
  * re-read through the alert-log importer and other `.jsonl` files
  * through the trace importer, both of which reject malformed lines.
- * Trace files are additionally validated against the erec_trace/v1
- * schema (span ends after start, monotonic starts on completed
- * traces, unique span ids, parents resolve) and `_perfetto.json`
+ * Trace files are additionally validated against the erec_trace/v2
+ * schema (only a root may be open, unique span ids, parents resolve,
+ * a closed root covers its spans) and `_perfetto.json`
  * files against the Chrome trace-event envelope (sorted timestamps,
  * balanced flow-event pairs). Exit status is non-zero when any file
  * fails.
@@ -54,8 +54,8 @@ bool
 checkTraceFile(const std::string &path, const std::string &text)
 {
     try {
-        const auto traces = erec::obs::readTraceJsonLines(text);
-        const auto errors = erec::obs::validateTraceSchema(traces);
+        const auto events = erec::obs::readTraceJsonLines(text);
+        const auto errors = erec::obs::validateTraceSchema(events);
         if (!errors.empty()) {
             for (const auto &e : errors)
                 std::cerr << path << ": "
@@ -63,7 +63,7 @@ checkTraceFile(const std::string &path, const std::string &text)
                           << "\n";
             return false;
         }
-        std::cout << path << ": OK (" << traces.size() << " traces, "
+        std::cout << path << ": OK (" << events.size() << " events, "
                   << erec::obs::kTraceSchemaVersion << ")\n";
         return true;
     } catch (const std::exception &e) {

@@ -106,13 +106,13 @@ reportStem(const fs::path &dir, const std::string &stem,
     const fs::path traces_path = dir / (stem + "_traces.jsonl");
     if (fs::exists(traces_path)) {
         try {
-            const auto traces =
-                erec::obs::readTraceJsonLines(readFile(traces_path));
+            const auto trees = erec::obs::buildSpanTrees(
+                erec::obs::readTraceJsonLines(readFile(traces_path)));
             erec::obs::writeStageTable(
-                std::cout, erec::obs::attributeStages(traces));
+                std::cout, erec::obs::attributeStages(trees));
             std::cout << "\n";
             erec::obs::writeCriticalPathTable(
-                std::cout, erec::obs::analyzeCriticalPaths(traces));
+                std::cout, erec::obs::analyzeCriticalPaths(trees));
         } catch (const std::exception &e) {
             std::cerr << traces_path.filename().string() << ": "
                       << e.what() << "\n";
