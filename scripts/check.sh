@@ -407,10 +407,10 @@ stage_tsan_stress() {
         -DELASTICREC_SANITIZE=thread
     cmake --build "$tree" -j "$jobs" --target \
         thread_pool_test batch_queue_test runtime_serving_test \
-        tracing_serving_test alloc_tracker_test
+        tracing_serving_test alloc_tracker_test embedding_table_test
     ctest --test-dir "$tree" --output-on-failure -j "$jobs" \
         --timeout "$ctest_timeout" \
-        -R '^(thread_pool_test|batch_queue_test|runtime_serving_test|tracing_serving_test|alloc_tracker_test)$' \
+        -R '^(thread_pool_test|batch_queue_test|runtime_serving_test|tracing_serving_test|alloc_tracker_test|embedding_table_test)$' \
         --repeat until-fail:3
 }
 
@@ -452,6 +452,8 @@ stage_smoke() {
         "$out"/*_perfetto.json
     "$tree/tools/report/erec_report" "$out" \
         --fail-on-alert lost-queries | tee "$out/report.txt"
+    # The native serving run is summarized from its dispatcher metrics.
+    grep -q '^dispatcher: [1-9][0-9]* queries in ' "$out/report.txt"
 }
 
 stage="${1:-all}"

@@ -11,11 +11,20 @@
  * 2.4 GiB per table, 10-32 tables per model) on a small host while still
  * exercising the full gather/pool code path; byte accounting always
  * reflects the *logical* size.
+ *
+ * Both modes hold the same values: element (r, d) is a counter-based
+ * hash of (seed, r, d), so a materialized table equals the virtual one
+ * of the same seed bit for bit. Materialized storage is an uninitialised
+ * aligned allocation; tables of 2 MiB or more are 2 MiB-aligned and
+ * advised as transparent huge pages (random gathers then miss the TLB
+ * far less), and a table larger than one 32 MiB fill chunk is filled
+ * chunk by chunk on a transient runtime::ThreadPool.
  */
 
 #include <cstdint>
+#include <memory>
+#include <new>
 #include <string>
-#include <vector>
 
 #include "elasticrec/common/hotpath.h"
 #include "elasticrec/common/units.h"
@@ -30,6 +39,17 @@ enum class Storage
     Virtual,      //!< Hash-synthesized values, zero resident memory.
 };
 
+namespace detail {
+
+/** Frees a table's backing store at the alignment it was allocated at. */
+struct AlignedDelete
+{
+    std::align_val_t align{};
+    void operator()(float *p) const { ::operator delete(p, align); }
+};
+
+} // namespace detail
+
 class EmbeddingTable
 {
   public:
@@ -37,8 +57,8 @@ class EmbeddingTable
      * @param num_rows Number of embedding vectors.
      * @param dim Embedding vector dimension.
      * @param storage Materialized or Virtual (see file comment).
-     * @param seed Seed for value initialization (materialized mode) or
-     *             hash salt (virtual mode).
+     * @param seed Hash salt of the row values (the same values in
+     *             either storage mode).
      */
     EmbeddingTable(std::uint64_t num_rows, std::uint32_t dim,
                    Storage storage = Storage::Materialized,
@@ -108,11 +128,14 @@ class EmbeddingTable
   private:
     void synthesizeRow(std::uint64_t row, float *out) const;
 
+    /** Allocate the backing store and fill it on first touch. */
+    void materialize();
+
     std::uint64_t numRows_;
     std::uint32_t dim_;
     Storage storage_;
     std::uint64_t seed_;
-    std::vector<float> data_;
+    std::unique_ptr<float[], detail::AlignedDelete> data_;
 };
 
 } // namespace erec::embedding

@@ -1,5 +1,7 @@
 #include "elasticrec/runtime/thread_pool.h"
 
+#include <algorithm>
+
 #include "elasticrec/common/alloc_tracker.h"
 #include "elasticrec/common/error.h"
 
@@ -79,6 +81,19 @@ ThreadPool::onWorkerThread()
     return t_onPoolWorker;
 }
 
+std::size_t
+ThreadPool::hardwareThreads()
+{
+    return std::max<std::size_t>(1, std::thread::hardware_concurrency());
+}
+
+void
+ThreadPool::noteExecuted()
+{
+    const std::lock_guard<std::mutex> lock(mutex_);
+    ++executed_;
+}
+
 // The unlock-run-relock shape below is the classic false positive of
 // the static analysis, hence the escape hatch; TSan covers the real
 // interleavings in tests/thread_pool_test.cpp.
@@ -105,7 +120,6 @@ ThreadPool::workerLoop() ERC_NO_THREAD_SAFETY_ANALYSIS
         task();
         lock.lock();
         --busy_;
-        ++executed_;
     }
 }
 

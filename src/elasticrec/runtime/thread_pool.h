@@ -59,9 +59,15 @@ class ThreadPool
     {
         using R = std::invoke_result_t<std::decay_t<F>>;
         // One task handle per submission: steady-state serving submits
-        // long-lived pump loops once, not per-query tasks.
+        // long-lived pump loops once, not per-query tasks. The task is
+        // counted as executed before packaged_task readies its future
+        // (the guard unwinds inside the task body, on a throw too), so
+        // a caller whose future is ready always sees it counted.
         auto task = std::make_shared<std::packaged_task<R()>>( // ERC_HOT_PATH_ALLOW("one handle per submission; pumps are submitted once, fork-join degrades inline on pool workers")
-            std::forward<F>(fn));
+            [this, fn = std::forward<F>(fn)]() mutable -> R {
+                const ExecutedGuard counted{this};
+                return fn();
+            });
         std::future<R> future = task->get_future();
         post([task] { (*task)(); });
         return future;
@@ -75,13 +81,26 @@ class ThreadPool
     /** Workers currently executing a task (pool occupancy). */
     std::size_t busyWorkers() const;
 
-    /** Tasks completed since construction. */
+    /** Tasks completed since construction; a task whose submit()
+     *  future is ready is always counted. */
     std::uint64_t tasksExecuted() const;
 
     /** True when called from one of this process' pool workers. */
     static bool onWorkerThread();
 
+    /** Hardware threads of this host (at least 1), for sizing pools. */
+    static std::size_t hardwareThreads();
+
   private:
+    /** Counts one executed task when it goes out of scope. */
+    struct ExecutedGuard
+    {
+        ThreadPool *pool = nullptr;
+        ~ExecutedGuard() { pool->noteExecuted(); }
+    };
+
+    void noteExecuted();
+
     /** Type-erased enqueue behind the template submit(). */
     void post(std::function<void()> task);
 

@@ -6,6 +6,8 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <cstring>
 #include <vector>
 
 #include "elasticrec/common/error.h"
@@ -80,6 +82,53 @@ TEST(EmbeddingTableTest, VirtualGatherMatchesReadRow)
         EXPECT_FLOAT_EQ(out[d], r10[d] + r20[d]);
 }
 
+TEST(EmbeddingTableTest, MaterializedRowsEqualVirtualRowsBitForBit)
+{
+    // 21M floats = 2.5 fill chunks of 32 MiB: the parallel first-touch
+    // path runs, the last chunk is ragged, and with dim 7 every chunk
+    // boundary falls inside a row. Virtual rows are hashed on demand by
+    // one thread, so equality also shows the fill does not depend on
+    // the thread count.
+    constexpr std::uint64_t kRows = 3'000'001;
+    constexpr std::uint32_t kDim = 7;
+    const EmbeddingTable m(kRows, kDim, Storage::Materialized, 11);
+    const EmbeddingTable v(kRows, kDim, Storage::Virtual, 11);
+    std::vector<float> rm(kDim), rv(kDim);
+    std::uint64_t mismatched_rows = 0;
+    for (std::uint64_t r = 0; r < kRows; ++r) {
+        m.readRow(r, rm.data());
+        v.readRow(r, rv.data());
+        if (std::memcmp(rm.data(), rv.data(), kDim * sizeof(float)) != 0)
+            ++mismatched_rows;
+    }
+    EXPECT_EQ(mismatched_rows, 0u);
+    // at() on both, at the first row, the row the first chunk boundary
+    // (8M floats) splits, and the last row.
+    const std::uint64_t split_row = (std::uint64_t{8} << 20) / kDim;
+    for (const std::uint64_t r : {std::uint64_t{0}, split_row, kRows - 1}) {
+        for (std::uint32_t d = 0; d < kDim; ++d) {
+            const float a = m.at(r, d);
+            const float b = v.at(r, d);
+            EXPECT_EQ(std::memcmp(&a, &b, sizeof(float)), 0)
+                << "row " << r << " lane " << d;
+        }
+    }
+}
+
+TEST(EmbeddingTableTest, HugeTablesAreHugePageAligned)
+{
+    constexpr std::uintptr_t kHugePage = std::uintptr_t{2} << 20;
+    // 16384 x 32 floats is exactly 2 MiB, the huge-page threshold.
+    const EmbeddingTable huge(16384, 32);
+    EXPECT_EQ(reinterpret_cast<std::uintptr_t>(huge.wholeSlice().rows) %
+                  kHugePage,
+              0u);
+    const EmbeddingTable small(1024, 32);
+    EXPECT_EQ(reinterpret_cast<std::uintptr_t>(small.wholeSlice().rows) %
+                  64,
+              0u);
+}
+
 TEST(EmbeddingTableTest, ValuesInInitRange)
 {
     EmbeddingTable t(100, 16);
@@ -107,6 +156,8 @@ TEST(EmbeddingTableTest, RejectsOversizedMaterialization)
 {
     EXPECT_THROW(EmbeddingTable(100'000'000, 64),
                  ConfigError);
+    // 2^40 rows x 2^24 lanes is 2^64 floats, which wraps to 0 in 64 bits.
+    EXPECT_THROW(EmbeddingTable(1ull << 40, 1u << 24), ConfigError);
 }
 
 TEST(EmbeddingTableTest, GatherTraffic)

@@ -17,6 +17,8 @@
 #include "elasticrec/obs/report.h"
 #include "elasticrec/sim/cluster_sim.h"
 #include "elasticrec/sim/experiment.h"
+#include "tools/promcheck/prom_parser.h"
+#include "tools/report/run_summary.h"
 
 namespace erec::obs {
 namespace {
@@ -231,6 +233,77 @@ TEST(ReportRenderTest, SectionsAreSelfDescribing)
     std::ostringstream no_timeline;
     writeAlertTimeline(no_timeline, {});
     EXPECT_NE(no_timeline.str().find("empty"), std::string::npos);
+}
+
+/** The run-summary lines of one Prometheus dump. */
+std::string
+runSummary(const std::string &prom_text)
+{
+    const auto prom = tools::parsePrometheusText(prom_text);
+    EXPECT_TRUE(prom.ok);
+    std::ostringstream os;
+    tools::writeRunSummary(os, prom);
+    return os.str();
+}
+
+TEST(RunSummaryTest, SimulatorDumpSummarizesTheFrontendDeployment)
+{
+    const std::string summary = runSummary(
+        "# TYPE erec_arrivals_total counter\n"
+        "erec_arrivals_total 120\n"
+        "# TYPE erec_latency_ms histogram\n"
+        "erec_latency_ms_bucket{deployment=\"rm1-dense\",le=\"+Inf\"} "
+        "118\n"
+        "erec_latency_ms_sum{deployment=\"rm1-dense\"} 900\n"
+        "erec_latency_ms_count{deployment=\"rm1-dense\"} 118\n"
+        "erec_latency_ms_bucket{deployment=\"rm1-sparse-0\",le=\"+Inf\"} "
+        "118\n"
+        "erec_latency_ms_sum{deployment=\"rm1-sparse-0\"} 0\n"
+        "erec_latency_ms_count{deployment=\"rm1-sparse-0\"} 118\n"
+        "# TYPE erec_sla_violations_total counter\n"
+        "erec_sla_violations_total{deployment=\"rm1-dense\"} 2\n"
+        "# TYPE erec_lost_queries gauge\n"
+        "erec_lost_queries 0\n");
+    EXPECT_EQ(summary, "frontend deployment: rm1-dense\n"
+                       "arrivals 120, completed 118, SLA violations 2 "
+                       "(1.7%), lost queries 0\n\n");
+}
+
+TEST(RunSummaryTest, NativeDumpSummarizesDispatcherAndShards)
+{
+    // The families a serving_throughput --metrics-out dump carries.
+    const std::string summary = runSummary(
+        "# TYPE erec_executor_workers gauge\n"
+        "erec_executor_workers 2\n"
+        "# TYPE erec_frontend_queries_served gauge\n"
+        "erec_frontend_queries_served 316\n"
+        "# TYPE erec_serving_batches_served gauge\n"
+        "erec_serving_batches_served 80\n"
+        "# TYPE erec_serving_queries_served gauge\n"
+        "erec_serving_queries_served 316\n"
+        "# TYPE erec_serving_queue_depth gauge\n"
+        "erec_serving_queue_depth 0\n"
+        "# TYPE erec_shard_rows_gathered gauge\n"
+        "erec_shard_rows_gathered{table=\"table-0\",shard=\"shard-0\"} "
+        "900\n"
+        "erec_shard_rows_gathered{table=\"table-0\",shard=\"shard-1\"} "
+        "100\n");
+    EXPECT_EQ(summary,
+              "native serving stack: queries served 316, rows gathered "
+              "1000 over 2 shards\n"
+              "dispatcher: 316 queries in 80 batches (mean batch 3.95), "
+              "0 still queued, executor workers 2\n\n");
+    EXPECT_EQ(summary.find("frontend deployment"), std::string::npos);
+}
+
+TEST(RunSummaryTest, SerialNativeDumpHasNoDispatcher)
+{
+    const std::string summary = runSummary(
+        "# TYPE erec_frontend_queries_served gauge\n"
+        "erec_frontend_queries_served 64\n");
+    EXPECT_EQ(summary, "native serving stack: queries served 64, rows "
+                       "gathered 0 over 0 shards\n"
+                       "dispatcher: none (serial serving)\n\n");
 }
 
 TEST(ReportSimTest, StageSumsCrossCheckSimResult)

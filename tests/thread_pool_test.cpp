@@ -10,6 +10,7 @@
 
 #include <atomic>
 #include <chrono>
+#include <cstdint>
 #include <memory>
 #include <stdexcept>
 #include <thread>
@@ -57,11 +58,21 @@ TEST(ThreadPoolTest, TaskExceptionSurfacesAtGetAndWorkerSurvives)
     EXPECT_THROW(bad.get(), std::runtime_error);
     // The worker that ran the throwing task must still serve others.
     EXPECT_EQ(pool.submit([] { return 7; }).get(), 7);
-    // The executed counter is bumped just after the future becomes
-    // ready; give the worker a moment to finish its bookkeeping.
-    for (int spin = 0; pool.tasksExecuted() < 2 && spin < 1000; ++spin)
-        std::this_thread::sleep_for(std::chrono::milliseconds(1));
-    EXPECT_GE(pool.tasksExecuted(), 2u);
+    // A task that threw counts as executed too, before its future is
+    // ready, so no wait is needed.
+    EXPECT_EQ(pool.tasksExecuted(), 2u);
+}
+
+TEST(ThreadPoolTest, ReadyFutureIsAlwaysCounted)
+{
+    // The count is taken inside the task, before packaged_task readies
+    // the future; a counter bumped by the worker afterwards could lag
+    // the caller that has just woken from get().
+    ThreadPool pool(2);
+    for (std::uint64_t i = 1; i <= 2000; ++i) {
+        pool.submit([] {}).get();
+        ASSERT_EQ(pool.tasksExecuted(), i);
+    }
 }
 
 TEST(ThreadPoolTest, OnWorkerThreadDistinguishesPoolThreads)

@@ -6,7 +6,8 @@
  *   erec_report DIR [--stem STEM] [--fail-on-alert NAME[,NAME...]]
  *
  * For every `<stem>.prom` in DIR (or just `--stem`), prints a run
- * summary from the Prometheus export, a per-stage latency attribution
+ * summary from the Prometheus export (simulator or native serving
+ * metrics, whichever the run wrote; see run_summary.h), a per-stage latency attribution
  * table and a critical-path breakdown from `<stem>_traces.jsonl`
  * (when tracing was on), and the SLO verdict plus alert timeline from
  * `<stem>_alerts.jsonl`.
@@ -21,20 +22,18 @@
 #include <filesystem>
 #include <fstream>
 #include <iostream>
-#include <map>
 #include <sstream>
 #include <string>
 #include <vector>
 
-#include "elasticrec/common/table_printer.h"
 #include "elasticrec/obs/export.h"
 #include "elasticrec/obs/report.h"
 #include "tools/promcheck/prom_parser.h"
+#include "tools/report/run_summary.h"
 
 namespace {
 
 namespace fs = std::filesystem;
-using erec::TablePrinter;
 
 std::string
 readFile(const fs::path &path)
@@ -43,30 +42,6 @@ readFile(const fs::path &path)
     std::ostringstream buf;
     buf << in.rdbuf();
     return buf.str();
-}
-
-/**
- * The frontend deployment aggregates every query's end-to-end latency;
- * sparse shards log their completions with latency 0. The deployment
- * with the largest latency sum is therefore the frontend.
- */
-std::string
-frontendDeployment(const erec::tools::PromParseResult &prom)
-{
-    std::string best;
-    double best_sum = -1.0;
-    for (const auto &s : prom.samples) {
-        if (s.name != "erec_latency_ms_sum")
-            continue;
-        const auto dep = s.labels.find("deployment");
-        if (dep == s.labels.end())
-            continue;
-        if (s.value > best_sum) {
-            best_sum = s.value;
-            best = dep->second;
-        }
-    }
-    return best;
 }
 
 /** Report one run stem; returns false on malformed telemetry. */
@@ -83,25 +58,7 @@ reportStem(const fs::path &dir, const std::string &stem,
         return false;
     }
 
-    const std::string frontend = frontendDeployment(prom);
-    const std::map<std::string, std::string> fe_labels = {
-        {"deployment", frontend}};
-    const double arrivals = prom.value("erec_arrivals_total");
-    const double completed =
-        prom.value("erec_latency_ms_count", fe_labels);
-    const double violations =
-        prom.value("erec_sla_violations_total", fe_labels);
-    const double lost = prom.value("erec_lost_queries");
-    std::cout << "frontend deployment: "
-              << (frontend.empty() ? "?" : frontend) << "\n"
-              << "arrivals " << TablePrinter::num(arrivals, 0)
-              << ", completed " << TablePrinter::num(completed, 0)
-              << ", SLA violations " << TablePrinter::num(violations, 0)
-              << " ("
-              << TablePrinter::percent(
-                     completed > 0 ? violations / completed : 0.0)
-              << "), lost queries " << TablePrinter::num(lost, 0)
-              << "\n\n";
+    erec::tools::writeRunSummary(std::cout, prom);
 
     const fs::path traces_path = dir / (stem + "_traces.jsonl");
     if (fs::exists(traces_path)) {
