@@ -1,43 +1,36 @@
 #!/usr/bin/env bash
-# Local CI matrix: the same gates .github/workflows/ci.yml runs,
-# sequentially, stopping at the first failure. Use this when iterating
-# without a GitHub runner.
+# Local CI matrix: the same nine jobs .github/workflows/ci.yml runs,
+# one-to-one and in the same order, sequentially, stopping at the
+# first failure. Use this when iterating without a GitHub runner.
 set -euo pipefail
 
 here="$(cd "$(dirname "$0")" && pwd)"
 
-echo "=== CI job 1/11: RelWithDebInfo + -Werror + ctest ==="
+echo "=== CI job 1/9: RelWithDebInfo + -Werror + ctest ==="
 "$here/check.sh" build
 
-echo "=== CI job 2/11: ASan+UBSan + ctest ==="
+echo "=== CI job 2/9: ASan+UBSan + ctest ==="
 "$here/check.sh" asan
 
-echo "=== CI job 3/11: TSan + ctest, then lint ==="
+echo "=== CI job 3/9: TSan + ctest ==="
 "$here/check.sh" tsan
-"$here/check.sh" lint
 
-echo "=== CI job 4/11: architecture gate (archlint + header check) ==="
-"$here/check.sh" arch
+echo "=== CI job 4/9: static analysis (erec_analyze + clang-tidy) ==="
+"$here/check.sh" analyze
 
-echo "=== CI job 5/11: hot-path discipline gate ==="
-"$here/check.sh" hotpath
-
-echo "=== CI job 6/11: concurrency-discipline gate (conclint) ==="
-"$here/check.sh" concurrency
-
-echo "=== CI job 7/11: TSan stress (concurrency test subset) ==="
+echo "=== CI job 5/9: TSan stress (concurrency test subset) ==="
 "$here/check.sh" tsan-stress
 
-echo "=== CI job 8/11: telemetry smoke ==="
+echo "=== CI job 6/9: telemetry smoke ==="
 "$here/check.sh" smoke
 
-echo "=== CI job 9/11: serving throughput + perf gate ==="
+echo "=== CI job 7/9: serving throughput + perf gate ==="
 "$here/check.sh" bench
 
-echo "=== CI job 10/11: kernel-backend sweep + perf gate ==="
+echo "=== CI job 8/9: kernel-backend sweep + perf gate ==="
 "$here/check.sh" kernels
 
-echo "=== CI job 11/11: simulator-core throughput + perf gate ==="
+echo "=== CI job 9/9: simulator-core throughput + perf gate ==="
 "$here/check.sh" sim
 
 echo "=== CI matrix green ==="

@@ -2,7 +2,7 @@
 # Run clang-tidy over all library sources using the compile database of
 # the build tree given as $1. Skips gracefully (exit 0 with a notice)
 # when clang-tidy is not installed, so the `lint` target still runs the
-# custom erec_lint rules on machines without LLVM.
+# lint pass of erec_analyze on machines without LLVM.
 set -euo pipefail
 
 build_dir="${1:?usage: run_clang_tidy.sh <build-dir>}"
@@ -10,7 +10,7 @@ repo_root="$(cd "$(dirname "$0")/.." && pwd)"
 
 tidy="$(command -v clang-tidy || true)"
 if [[ -z "$tidy" ]]; then
-    echo "run_clang_tidy.sh: clang-tidy not found; skipping (erec_lint still ran)"
+    echo "run_clang_tidy.sh: clang-tidy not found; skipping (erec_analyze lint still ran)"
     exit 0
 fi
 

@@ -1,6 +1,6 @@
 /**
  * @file
- * Tests for the architecture gate's engine (tools/archlint/arch_core):
+ * Tests for the architecture gate's engine (tools/analyze/arch):
  * include extraction must ignore comments and string literals, the
  * layer check must honor the transitive closure of layers.conf,
  * cycles must be reported with a concrete path, malformed configs
@@ -16,7 +16,7 @@
 #include <vector>
 
 #include "elasticrec/common/error.h"
-#include "tools/archlint/arch_core.h"
+#include "tools/analyze/arch.h"
 
 namespace erec::archlint {
 namespace {
@@ -66,7 +66,7 @@ TEST(ArchLintTest, ModuleOfMapsLibraryAndTopLevelPaths)
 {
     EXPECT_EQ(moduleOf("src/elasticrec/core/planner.h"), "core");
     EXPECT_EQ(moduleOf("src/elasticrec/obs/slo.cc"), "obs");
-    EXPECT_EQ(moduleOf("tools/archlint/arch_core.cc"), "tools");
+    EXPECT_EQ(moduleOf("tools/analyze/arch.cc"), "tools");
     EXPECT_EQ(moduleOf("tests/planner_test.cpp"), "tests");
     EXPECT_EQ(moduleOf("bench/bench_util.h"), "bench");
     EXPECT_EQ(moduleOf("./src/elasticrec/hw/network.h"), "hw");
@@ -237,9 +237,9 @@ TEST(ArchLintTest, RelativeAndRootIncludesResolve)
         // an unresolvable include (ignored, never an edge).
         {"bench/fig.cpp",
          "#include \"bench_util.h\"\n"
-         "#include \"tools/archlint/arch_core.h\"\n"
+         "#include \"tools/analyze/arch.h\"\n"
          "#include \"no/such/file.h\"\n"},
-        {"tools/archlint/arch_core.h", "#pragma once\n"},
+        {"tools/analyze/arch.h", "#pragma once\n"},
     };
     const auto analysis = analyze(
         files, parseLayerConfig("bench: *\ntools: *\n"));

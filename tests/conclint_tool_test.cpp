@@ -1,6 +1,6 @@
 /**
  * @file
- * Engine tests for the static concurrency gate (tools/conclint):
+ * Engine tests for the static concurrency gate (erec_analyze conc):
  * lock-order inversion cycles with both acquisition paths,
  * blocking-under-lock (direct, interprocedural, and the runtime/
  * reporting exemption), annotation coverage, and the false-positive
@@ -15,7 +15,7 @@
 #include <string>
 #include <vector>
 
-#include "tools/conclint/concl_core.h"
+#include "tools/analyze/conc.h"
 
 namespace cl = erec::conclint;
 

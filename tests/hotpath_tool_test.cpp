@@ -1,6 +1,6 @@
 /**
  * @file
- * Engine tests for the hot-path discipline gate (tools/hotpath):
+ * Engine tests for the hot-path discipline gate (erec_analyze hotpath):
  * annotation parsing, call-graph reachability with concrete paths,
  * ALLOW suppression at both line and function level, false-positive
  * guards for comments/strings/preprocessor text, the runtime/ mutex
@@ -9,7 +9,7 @@
 
 #include <gtest/gtest.h>
 
-#include "tools/hotpath/hotpath_core.h"
+#include "tools/analyze/hotpath.h"
 
 namespace hp = erec::hotpath;
 
@@ -265,7 +265,7 @@ void serve(int n)
 
 TEST(HotpathTool, ExtractorHandlesCtorInitListAndTrailingTokens)
 {
-    const auto defs = hp::extractFunctions("src/x.cc", R"(
+    const auto defs = erec::analyze::extractFunctions("src/x.cc", R"(
 struct Widget
 {
     explicit Widget(int n) : size_(n), data_{n, n} {}
@@ -288,9 +288,18 @@ int freeFn(int v)
     EXPECT_EQ(defs[3].name, "freeFn");
 }
 
+TEST(HotpathTool, ExtractorSeesPastDigitSeparators)
+{
+    const auto defs = erec::analyze::extractFunctions(
+        "src/x.cc", "constexpr int kRows = 1'000;\n"
+                    "int rows() { return kRows; }\n");
+    ASSERT_EQ(defs.size(), 1u);
+    EXPECT_EQ(defs[0].name, "rows");
+}
+
 TEST(HotpathTool, QualifiedDefinitionNamesAreReported)
 {
-    const auto defs = hp::extractFunctions("src/x.cc", R"(
+    const auto defs = erec::analyze::extractFunctions("src/x.cc", R"(
 namespace outer {
 struct S { void method(); };
 void S::method() {}

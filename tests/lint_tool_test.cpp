@@ -1,6 +1,6 @@
 /**
  * @file
- * Tests for the repo linter's rule engine (tools/lint/lint_core): each
+ * Tests for the repo linter's rule engine (erec_analyze lint): each
  * rule must fire on a seeded violation, stay quiet on the blessed
  * idioms, respect file classes and honor allow() suppressions.
  */
@@ -11,7 +11,8 @@
 #include <string>
 #include <vector>
 
-#include "tools/lint/lint_core.h"
+#include "tools/analyze/front_end.h"
+#include "tools/analyze/lint.h"
 
 namespace erec::lint {
 namespace {
@@ -63,6 +64,20 @@ TEST(LintToolTest, ThrowInCommentsAndStringsIgnored)
         "const char *s = \"throw\";\n";
     EXPECT_FALSE(hasRule(lintContent("src/elasticrec/x/a.cc", ok),
                          "raw-throw"));
+}
+
+TEST(LintToolTest, DigitSeparatorDoesNotHideCode)
+{
+    // The `'` in a number is a digit separator, not a char literal, so
+    // code after it is still linted.
+    EXPECT_TRUE(hasRule(lintContent("src/elasticrec/x/a.cc",
+                                    "int f() { return 62'423; }\n"
+                                    "void g() { throw 1; }\n"),
+                        "raw-throw"));
+    // Prefixed and escaped char literals are still blanked.
+    EXPECT_EQ(analyze::stripCommentsAndStrings(
+                  "c = u8'a'; q = '\\''; n = 1'000;"),
+              "c = u8   ; q =     ; n = 1'000;");
 }
 
 TEST(LintToolTest, UnseededRandomnessCaughtEverywhere)

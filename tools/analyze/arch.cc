@@ -1,4 +1,4 @@
-#include "tools/archlint/arch_core.h"
+#include "tools/analyze/arch.h"
 
 #include <algorithm>
 #include <cctype>
@@ -9,123 +9,9 @@
 
 namespace erec::archlint {
 
+using analyze::jsonEscape;
+
 namespace {
-
-/**
- * Blank comments, string literals and char literals (raw strings
- * included), preserving newlines so directive line numbers survive.
- * Same discipline as the linter's stripper, specialised for the one
- * job of not seeing `#include` inside a comment or literal.
- */
-std::string
-stripCommentsAndStrings(const std::string &content)
-{
-    std::string out;
-    out.reserve(content.size());
-    enum class State { Code, LineComment, BlockComment, String, Char };
-    State state = State::Code;
-
-    auto emit = [&out](char c) { out.push_back(c == '\n' ? c : ' '); };
-
-    std::size_t i = 0;
-    const std::size_t n = content.size();
-    while (i < n) {
-        const char c = content[i];
-        const char next = i + 1 < n ? content[i + 1] : '\0';
-        switch (state) {
-          case State::Code:
-            if (c == '/' && next == '/') {
-                state = State::LineComment;
-                emit(c);
-                emit(next);
-                i += 2;
-            } else if (c == '/' && next == '*') {
-                state = State::BlockComment;
-                emit(c);
-                emit(next);
-                i += 2;
-            } else if (c == 'R' && next == '"' &&
-                       (i == 0 || (!std::isalnum(static_cast<unsigned char>(
-                                       content[i - 1])) &&
-                                   content[i - 1] != '_'))) {
-                std::size_t paren = content.find('(', i + 2);
-                if (paren == std::string::npos) {
-                    emit(c);
-                    ++i;
-                    break;
-                }
-                const std::string delim =
-                    content.substr(i + 2, paren - (i + 2));
-                const std::string closer = ")" + delim + "\"";
-                std::size_t close = content.find(closer, paren + 1);
-                const std::size_t end = close == std::string::npos
-                                            ? n
-                                            : close + closer.size();
-                for (; i < end; ++i)
-                    emit(content[i]);
-            } else if (c == '"' || c == '\'') {
-                state = c == '"' ? State::String : State::Char;
-                emit(c);
-                ++i;
-            } else {
-                out.push_back(c);
-                ++i;
-            }
-            break;
-          case State::LineComment:
-            if (c == '\n')
-                state = State::Code;
-            emit(c);
-            ++i;
-            break;
-          case State::BlockComment:
-            if (c == '*' && next == '/') {
-                state = State::Code;
-                emit(c);
-                emit(next);
-                i += 2;
-            } else {
-                emit(c);
-                ++i;
-            }
-            break;
-          case State::String:
-          case State::Char: {
-            const char quote = state == State::String ? '"' : '\'';
-            if (c == '\\' && i + 1 < n) {
-                emit(c);
-                emit(next);
-                i += 2;
-            } else {
-                if (c == quote)
-                    state = State::Code;
-                emit(c);
-                ++i;
-            }
-            break;
-          }
-        }
-    }
-    return out;
-}
-
-std::vector<std::string>
-splitLines(const std::string &content)
-{
-    std::vector<std::string> lines;
-    std::size_t start = 0;
-    while (start <= content.size()) {
-        std::size_t nl = content.find('\n', start);
-        if (nl == std::string::npos) {
-            if (start < content.size())
-                lines.push_back(content.substr(start));
-            break;
-        }
-        lines.push_back(content.substr(start, nl - start));
-        start = nl + 1;
-    }
-    return lines;
-}
 
 /** Lexically normalize a '/'-separated path ("a/./b/../c" -> "a/c"). */
 std::string
@@ -180,7 +66,7 @@ validModuleName(const std::string &name)
  * Resolve a quoted include against the scanned tree: relative to the
  * including file's directory first (bench_util.h style), then under
  * src/ (the "elasticrec/<module>/<header>.h" convention), then from
- * the repo root ("tools/lint/lint_core.h" style). Empty when the
+ * the repo root ("tools/analyze/arch.h" style). Empty when the
  * include is not a scanned first-party file.
  */
 std::string
@@ -208,100 +94,6 @@ struct Edge
     int line = 0;
     /** The include path as written (for messages). */
     std::string spelled;
-};
-
-/**
- * Tarjan's strongly-connected-components algorithm (iterative, so
- * deep include chains cannot overflow the stack). Emits components
- * in a deterministic order given the sorted FileSet iteration.
- */
-class Tarjan
-{
-  public:
-    explicit Tarjan(const std::map<std::string, std::vector<std::string>>
-                        &adjacency)
-        : adjacency_(adjacency)
-    {}
-
-    std::vector<std::vector<std::string>>
-    run()
-    {
-        for (const auto &[node, targets] : adjacency_) {
-            (void)targets;
-            if (!index_.count(node))
-                strongConnect(node);
-        }
-        return components_;
-    }
-
-  private:
-    struct Frame
-    {
-        std::string node;
-        std::size_t nextTarget = 0;
-    };
-
-    void
-    strongConnect(const std::string &root)
-    {
-        std::vector<Frame> callStack;
-        callStack.push_back({root, 0});
-        visit(root);
-        while (!callStack.empty()) {
-            Frame &frame = callStack.back();
-            const auto &targets = adjacency_.at(frame.node);
-            if (frame.nextTarget < targets.size()) {
-                const std::string &next = targets[frame.nextTarget++];
-                if (!adjacency_.count(next))
-                    continue;
-                if (!index_.count(next)) {
-                    visit(next);
-                    callStack.push_back({next, 0});
-                } else if (onStack_.count(next)) {
-                    lowLink_[frame.node] =
-                        std::min(lowLink_[frame.node], index_[next]);
-                }
-                continue;
-            }
-            if (lowLink_[frame.node] == index_[frame.node]) {
-                std::vector<std::string> component;
-                while (true) {
-                    const std::string popped = stack_.back();
-                    stack_.pop_back();
-                    onStack_.erase(popped);
-                    component.push_back(popped);
-                    if (popped == frame.node)
-                        break;
-                }
-                components_.push_back(std::move(component));
-            }
-            const std::string finished = frame.node;
-            callStack.pop_back();
-            if (!callStack.empty()) {
-                lowLink_[callStack.back().node] =
-                    std::min(lowLink_[callStack.back().node],
-                             lowLink_[finished]);
-            }
-        }
-    }
-
-    void
-    visit(const std::string &node)
-    {
-        index_[node] = counter_;
-        lowLink_[node] = counter_;
-        ++counter_;
-        stack_.push_back(node);
-        onStack_.insert(node);
-    }
-
-    const std::map<std::string, std::vector<std::string>> &adjacency_;
-    std::map<std::string, int> index_;
-    std::map<std::string, int> lowLink_;
-    std::vector<std::string> stack_;
-    std::set<std::string> onStack_;
-    std::vector<std::vector<std::string>> components_;
-    int counter_ = 0;
 };
 
 /**
@@ -358,31 +150,6 @@ cyclePath(const std::vector<std::string> &component,
     return start + " -> ... -> " + start;
 }
 
-std::string
-jsonEscape(const std::string &text)
-{
-    std::string out;
-    out.reserve(text.size() + 8);
-    for (const char c : text) {
-        switch (c) {
-          case '"': out += "\\\""; break;
-          case '\\': out += "\\\\"; break;
-          case '\n': out += "\\n"; break;
-          case '\t': out += "\\t"; break;
-          default:
-            if (static_cast<unsigned char>(c) < 0x20) {
-                std::ostringstream oss;
-                oss << "\\u00" << std::hex << (c < 16 ? "0" : "")
-                    << static_cast<int>(c);
-                out += oss.str();
-            } else {
-                out.push_back(c);
-            }
-        }
-    }
-    return out;
-}
-
 } // namespace
 
 std::vector<IncludeDirective>
@@ -396,9 +163,9 @@ extractIncludes(const std::string &content)
     static const std::regex kPath(
         R"(^\s*#\s*include\s*([<"])([^">]+)[">])");
     std::vector<IncludeDirective> directives;
-    const auto raw_lines = splitLines(content);
+    const auto raw_lines = analyze::splitLines(content);
     const auto stripped_lines =
-        splitLines(stripCommentsAndStrings(content));
+        analyze::splitLines(analyze::stripCommentsAndStrings(content));
     for (std::size_t i = 0; i < stripped_lines.size(); ++i) {
         if (!std::regex_search(stripped_lines[i], kDirective))
             continue;
@@ -430,7 +197,7 @@ LayerConfig
 parseLayerConfig(const std::string &text)
 {
     LayerConfig config;
-    const auto lines = splitLines(text);
+    const auto lines = analyze::splitLines(text);
     for (std::size_t i = 0; i < lines.size(); ++i) {
         std::string line = lines[i];
         const std::size_t hash = line.find('#');
@@ -597,7 +364,20 @@ analyze(const FileSet &files, const LayerConfig &config)
 
     // include-cycle: SCCs of the file-level graph with >1 member, plus
     // direct self-includes.
-    for (const auto &component : Tarjan(adjacency).run()) {
+    std::map<std::string, std::size_t> node_of;
+    for (const auto &[path, targets] : adjacency)
+        node_of.emplace(path, node_of.size());
+    std::vector<std::vector<std::size_t>> graph;
+    for (const auto &[path, targets] : adjacency) {
+        auto &out = graph.emplace_back();
+        for (const auto &target : targets)
+            out.push_back(node_of.at(target));
+    }
+    const auto ids = analyze::componentIds(graph);
+    std::map<std::size_t, std::vector<std::string>> components;
+    for (const auto &[path, node] : node_of)
+        components[ids[node]].push_back(path);
+    for (const auto &[id, component] : components) {
         bool cyclic = component.size() > 1;
         if (!cyclic) {
             const auto &targets = adjacency.at(component.front());

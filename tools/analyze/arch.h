@@ -2,9 +2,9 @@
 
 /**
  * @file
- * Engine of the architecture gate (`erec_archlint`): extracts the
- * `#include` graph of the first-party tree, enforces the declared
- * module layer DAG, and detects include cycles.
+ * The `arch` pass of erec_analyze: extracts the `#include` graph of
+ * the first-party tree, enforces the declared module layer DAG, and
+ * detects include cycles.
  *
  * ElasticRec's modules form a strict layering (common at the bottom,
  * sim at the top — DESIGN.md §9); the serving decomposition only stays
@@ -12,7 +12,7 @@
  *
  *  - layer-edge: every cross-module include must land inside the
  *    including module's *transitive closure* of allowed dependencies,
- *    as declared in tools/archlint/layers.conf (one line per module
+ *    as declared in tools/analyze/layers.conf (one line per module
  *    listing its direct dependencies; `*` = unconstrained, used for
  *    tools/tests/bench/examples).
  *  - include-cycle: the file-level include graph must be acyclic;
@@ -21,17 +21,12 @@
  *  - undeclared-module: every scanned module must have a layers.conf
  *    entry, so new modules cannot dodge the gate.
  *
- * Include directives are extracted with a small scanner that blanks
- * comments and string literals first, so `#include` in a comment or a
- * string never creates an edge. Header self-containment is checked
- * separately by the CMake `archlint_headers` target (one generated TU
- * per src/elasticrec header).
- *
- * The engine works on an in-memory FileSet (repo-relative path ->
- * content) so tests can drive it without touching the filesystem; the
- * CLI (archlint_main.cc) walks the real tree. Malformed configs raise
- * erec::ConfigError, which the CLI maps to exit 2 (benchdiff
- * convention: 0 = clean, 1 = violations, 2 = usage/config error).
+ * Include directives are read from the front end's stripped text, so
+ * `#include` in a comment or a string never creates an edge. Header
+ * self-containment is checked separately by the CMake
+ * `archlint_headers` target (one generated TU per src/elasticrec
+ * header). Malformed configs raise erec::ConfigError, which the CLI
+ * maps to exit 2.
  */
 
 #include <cstddef>
@@ -40,7 +35,11 @@
 #include <string>
 #include <vector>
 
+#include "tools/analyze/front_end.h"
+
 namespace erec::archlint {
+
+using analyze::FileSet;
 
 /** One `#include` directive at a source location. */
 struct IncludeDirective
@@ -108,9 +107,6 @@ struct Violation
     std::string toModule;
     std::string message;
 };
-
-/** Repo-relative path -> file content. */
-using FileSet = std::map<std::string, std::string>;
 
 /** Full analysis result. */
 struct Analysis

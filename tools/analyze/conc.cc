@@ -1,59 +1,20 @@
-#include "tools/conclint/concl_core.h"
+#include "tools/analyze/conc.h"
 
 #include <algorithm>
-#include <cctype>
-#include <limits>
+#include <cstdlib>
 #include <map>
 #include <regex>
 #include <set>
 #include <sstream>
 #include <utility>
 
-#include "tools/hotpath/hotpath_core.h"
-#include "tools/lint/lint_core.h"
-
 namespace erec::conclint {
 
+using analyze::isIdentChar;
+using analyze::jsonEscape;
+using analyze::trim;
+
 namespace {
-
-bool
-isIdentChar(char c)
-{
-    return std::isalnum(static_cast<unsigned char>(c)) || c == '_';
-}
-
-std::vector<std::string>
-splitLines(const std::string &content)
-{
-    std::vector<std::string> lines;
-    std::string line;
-    std::istringstream iss(content);
-    while (std::getline(iss, line))
-        lines.push_back(line);
-    return lines;
-}
-
-std::string
-trim(const std::string &s)
-{
-    std::size_t b = 0;
-    std::size_t e = s.size();
-    while (b < e && std::isspace(static_cast<unsigned char>(s[b])))
-        ++b;
-    while (e > b && std::isspace(static_cast<unsigned char>(s[e - 1])))
-        --e;
-    return s.substr(b, e - b);
-}
-
-/** Files whose *reports* are exempt (the blessed blocking queues);
- *  their lock edges and blocking summaries still propagate. */
-bool
-isRuntimeFile(const std::string &path)
-{
-    return path.find("src/elasticrec/runtime/") != std::string::npos ||
-           path.rfind("elasticrec/runtime/", 0) == 0 ||
-           path.rfind("runtime/", 0) == 0;
-}
 
 /** True for headers that belong to the library tree (under src/). */
 bool
@@ -151,7 +112,7 @@ struct Summary
 
 struct Node
 {
-    hotpath::FunctionDef def;
+    analyze::FunctionDef def;
     std::size_t fileIndex = 0;
     std::string group;
     bool exempt = false; //!< Function-level ERC_CONCLINT_ALLOW.
@@ -159,14 +120,6 @@ struct Node
     /** Callee node index -> first call line. */
     std::map<std::size_t, int> callees;
     Summary summary;
-};
-
-struct ParsedFile
-{
-    std::string path;
-    std::string group;
-    std::vector<std::string> rawLines;
-    std::vector<std::string> strippedLines;
 };
 
 /** A lock held at some point of a body scan. */
@@ -196,31 +149,6 @@ blockingIoRe()
     return re;
 }
 
-std::string
-jsonEscape(const std::string &text)
-{
-    std::string out;
-    out.reserve(text.size() + 8);
-    for (const char c : text) {
-        switch (c) {
-          case '"': out += "\\\""; break;
-          case '\\': out += "\\\\"; break;
-          case '\n': out += "\\n"; break;
-          case '\t': out += "\\t"; break;
-          default:
-            if (static_cast<unsigned char>(c) < 0x20) {
-                std::ostringstream oss;
-                oss << "\\u00" << std::hex << (c < 16 ? "0" : "")
-                    << static_cast<int>(c);
-                out += oss.str();
-            } else {
-                out.push_back(c);
-            }
-        }
-    }
-    return out;
-}
-
 /** "Display (file:line)" step for witness paths. */
 std::string
 step(const Node &node, const std::string &file, int line)
@@ -235,13 +163,14 @@ step(const Node &node, const std::string &file, int line)
 Analysis
 analyze(const FileSet &files)
 {
+    const analyze::SourceTree tree = analyze::parseTree(files);
+    static const std::regex kAllow(R"(ERC_CONCLINT_ALLOW\(\s*\")");
+    const analyze::Waivers waivers = analyze::collectWaivers(tree, kAllow);
+
     Analysis analysis;
     analysis.fileCount = files.size();
 
-    // ---- Parse every file through the shared hotpath pipeline. ----
-    std::vector<ParsedFile> parsed;
-    std::vector<Node> nodes;
-    std::map<std::string, std::vector<std::size_t>> byName;
+    std::vector<Node> nodes(tree.functions.size());
     std::map<std::string, MutexDecl> mutexes; // key -> decl
     /** name -> keys, for cross-group fallback resolution. */
     std::map<std::string, std::set<std::string>> mutexKeysByName;
@@ -250,7 +179,6 @@ analyze(const FileSet &files)
     /** group -> class/struct names (ctor/dtor exemption). */
     std::map<std::string, std::set<std::string>> classNames;
 
-    static const std::regex kAllow(R"(ERC_CONCLINT_ALLOW\(\s*\")");
     static const std::regex kMutexDecl(
         R"(\bstd\s*::\s*(?:shared_|recursive_|timed_)?mutex\s+([A-Za-z_][A-Za-z0-9_]*)\s*;)");
     static const std::regex kGuardedField(
@@ -258,75 +186,42 @@ analyze(const FileSet &files)
     static const std::regex kClass(
         R"(\b(?:class|struct)\s+([A-Za-z_][A-Za-z0-9_]*))");
 
-    for (const auto &[path, content] : files) {
-        ParsedFile pf;
-        pf.path = path;
-        pf.group = groupOf(path);
-        pf.rawLines = splitLines(content);
-        const std::string code = hotpath::blankPreprocessorLines(
-            lint::stripCommentsAndStrings(content));
-        pf.strippedLines = splitLines(code);
-
-        const std::size_t first_node = nodes.size();
-        for (auto &def : hotpath::extractFunctions(path, content)) {
-            Node node;
-            node.def = def;
-            node.fileIndex = parsed.size();
-            node.group = pf.group;
-            byName[def.name].push_back(nodes.size());
-            nodes.push_back(std::move(node));
-        }
-
-        // ALLOW markers come from the RAW lines so trailing comments
-        // work (the stripper blanks them in the stripped text).
-        std::vector<int> allow_lines;
-        for (std::size_t li = 0; li < pf.rawLines.size(); ++li)
-            if (std::regex_search(pf.rawLines[li], kAllow))
-                allow_lines.push_back(static_cast<int>(li) + 1);
-        for (const int al : allow_lines) {
-            bool inside = false;
-            for (std::size_t ni = first_node; ni < nodes.size(); ++ni) {
-                Node &node = nodes[ni];
-                if (al >= node.def.bodyBeginLine &&
-                    al <= node.def.bodyEndLine) {
-                    node.allowLines.insert(al);
-                    node.allowLines.insert(al + 1);
-                    inside = true;
-                    break;
-                }
-            }
-            if (inside)
-                continue;
-            for (std::size_t ni = first_node; ni < nodes.size(); ++ni) {
-                if (nodes[ni].def.bodyBeginLine > al) {
-                    nodes[ni].exempt = true;
-                    break;
-                }
-            }
+    for (std::size_t fi = 0; fi < tree.files.size(); ++fi) {
+        const analyze::SourceFile &pf = tree.files[fi];
+        const std::string group = groupOf(pf.path);
+        for (std::size_t ni = pf.functionsBegin; ni < pf.functionsEnd;
+             ++ni) {
+            Node &node = nodes[ni];
+            node.def = tree.functions[ni].def;
+            node.fileIndex = fi;
+            node.group = group;
+            node.exempt = waivers.exempt[ni];
+            node.allowLines = waivers.lines[ni];
         }
 
         // File-level ALLOW lines also waive declaration-site findings
         // (unannotated-mutex) on their own / the following line.
         std::set<int> file_allow;
-        for (const int al : allow_lines) {
+        for (const int al : waivers.markers[fi]) {
             file_allow.insert(al);
             file_allow.insert(al + 1);
         }
 
         // Mutex declarations.
-        for (std::size_t li = 0; li < pf.strippedLines.size(); ++li) {
+        for (std::size_t li = 0; li < pf.codeLines.size(); ++li) {
             std::smatch m;
-            std::string rest = pf.strippedLines[li];
+            const std::string &rest = pf.codeLines[li];
             if (!std::regex_search(rest, m, kMutexDecl))
                 continue;
             const int line_no = static_cast<int>(li) + 1;
             MutexDecl decl;
             decl.name = m[1].str();
-            decl.key = pf.group + "::" + decl.name;
-            decl.file = path;
+            decl.key = group + "::" + decl.name;
+            decl.file = pf.path;
             decl.line = line_no;
-            decl.inLibraryHeader = isLibraryHeader(path);
-            for (std::size_t ni = first_node; ni < nodes.size(); ++ni) {
+            decl.inLibraryHeader = isLibraryHeader(pf.path);
+            for (std::size_t ni = pf.functionsBegin; ni < pf.functionsEnd;
+                 ++ni) {
                 if (line_no >= nodes[ni].def.bodyBeginLine &&
                     line_no <= nodes[ni].def.bodyEndLine)
                     decl.local = true;
@@ -342,22 +237,20 @@ analyze(const FileSet &files)
         }
 
         // Guarded fields: field -> guarding mutex key (same group).
-        const std::string whole = code;
+        const std::string &whole = pf.code;
         for (auto it = std::sregex_iterator(whole.begin(), whole.end(),
                                             kGuardedField);
              it != std::sregex_iterator(); ++it) {
             const std::string field = (*it)[1].str();
             const std::string mux = (*it)[2].str();
-            guarded[pf.group][field] = pf.group + "::" + mux;
+            guarded[group][field] = group + "::" + mux;
         }
 
         // Class/struct names (constructor/destructor exemption).
         for (auto it =
                  std::sregex_iterator(whole.begin(), whole.end(), kClass);
              it != std::sregex_iterator(); ++it)
-            classNames[pf.group].insert((*it)[1].str());
-
-        parsed.push_back(std::move(pf));
+            classNames[group].insert((*it)[1].str());
     }
     analysis.functionCount = nodes.size();
     analysis.mutexCount = mutexes.size();
@@ -379,40 +272,13 @@ analyze(const FileSet &files)
         return local_key;
     };
 
-    // ---- Call graph (base-name matched, like the hotpath pass). ----
-    static const std::regex kCall(R"(([A-Za-z_][A-Za-z0-9_]*)\s*\()");
-    static const std::set<std::string> kCallKeywords{
-        "if",     "for",    "while",    "switch", "catch",  "return",
-        "sizeof", "new",    "delete",   "throw",  "assert", "decltype",
-        "static_assert",    "noexcept", "alignof", "alignas",
-    };
+    // ---- Call graph, without self-calls and waived functions. ----
     for (std::size_t ni = 0; ni < nodes.size(); ++ni) {
-        Node &node = nodes[ni];
-        if (node.exempt)
+        if (nodes[ni].exempt)
             continue;
-        const ParsedFile &pf = parsed[node.fileIndex];
-        for (int li = node.def.bodyBeginLine;
-             li <= node.def.bodyEndLine &&
-             li <= static_cast<int>(pf.strippedLines.size());
-             ++li) {
-            const std::string &line =
-                pf.strippedLines[static_cast<std::size_t>(li - 1)];
-            for (auto it = std::sregex_iterator(line.begin(), line.end(),
-                                                kCall);
-                 it != std::sregex_iterator(); ++it) {
-                const std::string callee = (*it)[1].str();
-                if (kCallKeywords.count(callee) != 0)
-                    continue;
-                const auto found = byName.find(callee);
-                if (found == byName.end())
-                    continue;
-                for (const std::size_t target : found->second) {
-                    if (target == ni || nodes[target].exempt)
-                        continue;
-                    node.callees.emplace(target, li);
-                }
-            }
-        }
+        for (const analyze::CallSite &call : tree.functions[ni].calls)
+            if (call.callee != ni && !nodes[call.callee].exempt)
+                nodes[ni].callees.emplace(call.callee, call.line);
     }
 
     // ---- Per-body lexical scan: lock sites + direct blocking. ----
@@ -445,13 +311,13 @@ analyze(const FileSet &files)
         Node &node = nodes[ni];
         if (node.exempt)
             continue;
-        const ParsedFile &pf = parsed[node.fileIndex];
+        const analyze::SourceFile &pf = tree.files[node.fileIndex];
         for (int li = node.def.bodyBeginLine;
              li <= node.def.bodyEndLine &&
-             li <= static_cast<int>(pf.strippedLines.size());
+             li <= static_cast<int>(pf.codeLines.size());
              ++li) {
             const std::string &line =
-                pf.strippedLines[static_cast<std::size_t>(li - 1)];
+                pf.codeLines[static_cast<std::size_t>(li - 1)];
             for (auto it = std::sregex_iterator(line.begin(), line.end(),
                                                 lockDeclRe());
                  it != std::sregex_iterator(); ++it) {
@@ -479,17 +345,17 @@ analyze(const FileSet &files)
     // ---- Summaries: transitive acquires + may-block, to fixpoint. ----
     for (std::size_t ni = 0; ni < nodes.size(); ++ni) {
         Node &node = nodes[ni];
-        const ParsedFile &pf = parsed[node.fileIndex];
+        const analyze::SourceFile &pf = tree.files[node.fileIndex];
         for (const Acquisition &acq : acquisitions[ni])
             node.summary.acquires.emplace(
                 acq.key,
                 std::vector<std::string>{step(node, pf.path, acq.line)});
         for (int li = node.def.bodyBeginLine;
              li <= node.def.bodyEndLine &&
-             li <= static_cast<int>(pf.strippedLines.size());
+             li <= static_cast<int>(pf.codeLines.size());
              ++li) {
             const std::string &line =
-                pf.strippedLines[static_cast<std::size_t>(li - 1)];
+                pf.codeLines[static_cast<std::size_t>(li - 1)];
             std::string what;
             std::smatch m;
             if (std::regex_search(line, kSleep))
@@ -513,7 +379,7 @@ analyze(const FileSet &files)
             Node &node = nodes[ni];
             if (node.exempt)
                 continue;
-            const ParsedFile &pf = parsed[node.fileIndex];
+            const analyze::SourceFile &pf = tree.files[node.fileIndex];
             for (const auto &[callee, call_line] : node.callees) {
                 const Node &target = nodes[callee];
                 for (const auto &[key, path] : target.summary.acquires) {
@@ -545,9 +411,11 @@ analyze(const FileSet &files)
         Node &node = nodes[ni];
         if (node.exempt)
             continue;
-        const ParsedFile &pf = parsed[node.fileIndex];
-        const bool exempt_file = isRuntimeFile(pf.path);
+        const analyze::SourceFile &pf = tree.files[node.fileIndex];
+        const bool exempt_file = analyze::isRuntimeFile(pf.path);
 
+        const auto &calls = tree.functions[ni].calls;
+        std::size_t next_call = 0;
         std::vector<Held> held;
         /** unique_lock variable name -> (mutex key, decl depth). */
         std::map<std::string, std::pair<std::string, int>> lockVars;
@@ -605,10 +473,10 @@ analyze(const FileSet &files)
 
         for (int li = node.def.bodyBeginLine;
              li <= node.def.bodyEndLine &&
-             li <= static_cast<int>(pf.strippedLines.size());
+             li <= static_cast<int>(pf.codeLines.size());
              ++li) {
             const std::string &line =
-                pf.strippedLines[static_cast<std::size_t>(li - 1)];
+                pf.codeLines[static_cast<std::size_t>(li - 1)];
             const bool allowed = node.allowLines.count(li) != 0;
 
             // Brace depth at a column of this line (braces are folded
@@ -745,7 +613,7 @@ analyze(const FileSet &files)
             while (std::regex_search(fj_tail, fj, kFutureJoin)) {
                 const std::string recv = fj[1].str();
                 if (recv != "this" && lockVars.count(recv) == 0 &&
-                    kCallKeywords.count(recv) == 0)
+                    analyze::keywords().count(recv) == 0)
                     reportBlock(li, "joins a future (." + fj[3].str() +
                                         "() on `" + recv + "`)",
                                 {});
@@ -753,41 +621,29 @@ analyze(const FileSet &files)
             }
 
             // Calls while holding: edges + transitive blocking.
-            if (!held.empty()) {
-                for (auto it = std::sregex_iterator(line.begin(),
-                                                    line.end(), kCall);
-                     it != std::sregex_iterator(); ++it) {
-                    const std::string callee = (*it)[1].str();
-                    if (kCallKeywords.count(callee) != 0)
-                        continue;
-                    const auto found = byName.find(callee);
-                    if (found == byName.end())
-                        continue;
-                    for (const std::size_t target : found->second) {
-                        if (target == ni || nodes[target].exempt)
+            for (; next_call < calls.size() && calls[next_call].line == li;
+                 ++next_call) {
+                const std::size_t target = calls[next_call].callee;
+                if (held.empty() || target == ni || nodes[target].exempt)
+                    continue;
+                const Summary &sum = nodes[target].summary;
+                if (!allowed) {
+                    for (const auto &[key, path] : sum.acquires) {
+                        bool already = false;
+                        for (const Held &h : held)
+                            if (h.key == key)
+                                already = true;
+                        if (already)
                             continue;
-                        const Summary &sum = nodes[target].summary;
-                        if (!allowed) {
-                            for (const auto &[key, path] :
-                                 sum.acquires) {
-                                bool already = false;
-                                for (const Held &h : held)
-                                    if (h.key == key)
-                                        already = true;
-                                if (already)
-                                    continue;
-                                for (const Held &h : held)
-                                    addEdge(h.key, h.line, key, path);
-                            }
-                        }
-                        if (!sum.blocksPath.empty())
-                            reportBlock(li,
-                                        "calls " +
-                                            nodes[target].def.display +
-                                            ", which " + sum.blocksKind,
-                                        sum.blocksPath);
+                        for (const Held &h : held)
+                            addEdge(h.key, h.line, key, path);
                     }
                 }
+                if (!sum.blocksPath.empty())
+                    reportBlock(li,
+                                "calls " + nodes[target].def.display +
+                                    ", which " + sum.blocksKind,
+                                sum.blocksPath);
             }
 
             // Brace tracking: release locks whose scope closed.
@@ -814,7 +670,7 @@ analyze(const FileSet &files)
     for (const auto &[key, info] : edges)
         analysis.edges.push_back({key.first, key.second, info.path});
 
-    // ---- Lock-order cycles: iterative Tarjan over the edge graph. ----
+    // ---- Lock-order cycles: SCCs of the edge graph. ----
     {
         std::vector<std::string> keys;
         std::map<std::string, std::size_t> index;
@@ -831,66 +687,17 @@ analyze(const FileSet &files)
             adj[index[edge.first]].push_back(index[edge.second]);
 
         const std::size_t n = keys.size();
-        std::vector<int> idx(n, -1), low(n, 0), comp(n, -1);
-        std::vector<bool> onStack(n, false);
-        std::vector<std::size_t> stack;
-        int counter = 0, comps = 0;
-        struct Frame
-        {
-            std::size_t v;
-            std::size_t child = 0;
-        };
-        for (std::size_t root = 0; root < n; ++root) {
-            if (idx[root] != -1)
-                continue;
-            std::vector<Frame> frames{{root}};
-            idx[root] = low[root] = counter++;
-            stack.push_back(root);
-            onStack[root] = true;
-            while (!frames.empty()) {
-                Frame &f = frames.back();
-                if (f.child < adj[f.v].size()) {
-                    const std::size_t w = adj[f.v][f.child++];
-                    if (idx[w] == -1) {
-                        idx[w] = low[w] = counter++;
-                        stack.push_back(w);
-                        onStack[w] = true;
-                        frames.push_back({w});
-                    } else if (onStack[w]) {
-                        low[f.v] = std::min(low[f.v], idx[w]);
-                    }
-                } else {
-                    if (low[f.v] == idx[f.v]) {
-                        for (;;) {
-                            const std::size_t w = stack.back();
-                            stack.pop_back();
-                            onStack[w] = false;
-                            comp[w] = comps;
-                            if (w == f.v)
-                                break;
-                        }
-                        ++comps;
-                    }
-                    const std::size_t v = f.v;
-                    frames.pop_back();
-                    if (!frames.empty())
-                        low[frames.back().v] =
-                            std::min(low[frames.back().v], low[v]);
-                }
-            }
-        }
+        const auto comp = analyze::componentIds(adj);
 
         // Component member counts; self-loops are impossible (addEdge
         // drops from==to), so any multi-member component is a cycle.
-        std::vector<std::size_t> comp_size(
-            static_cast<std::size_t>(comps), 0);
-        for (std::size_t v = 0; v < n; ++v)
-            ++comp_size[static_cast<std::size_t>(comp[v])];
+        std::map<std::size_t, std::size_t> comp_size;
+        for (const std::size_t c : comp)
+            ++comp_size[c];
         for (const auto &[edge, info] : edges) {
             const std::size_t a = index[edge.first];
             const std::size_t b = index[edge.second];
-            if (comp[a] != comp[b] ||
-                comp_size[static_cast<std::size_t>(comp[a])] < 2)
+            if (comp[a] != comp[b] || comp_size[comp[a]] < 2)
                 continue;
             std::string members;
             for (std::size_t v = 0; v < n; ++v) {
@@ -960,14 +767,14 @@ analyze(const FileSet &files)
         if (cls != classNames.end() &&
             cls->second.count(node.def.name) != 0)
             continue;
-        const ParsedFile &pf = parsed[node.fileIndex];
+        const analyze::SourceFile &pf = tree.files[node.fileIndex];
         // Signature region: annotations between declarator and body.
         std::string sig;
         for (int li = node.def.line;
              li <= node.def.bodyBeginLine &&
-             li <= static_cast<int>(pf.strippedLines.size());
+             li <= static_cast<int>(pf.codeLines.size());
              ++li)
-            sig += pf.strippedLines[static_cast<std::size_t>(li - 1)] +
+            sig += pf.codeLines[static_cast<std::size_t>(li - 1)] +
                    "\n";
         const bool annotated = std::regex_search(sig, kCapability);
         if (annotated)
@@ -977,12 +784,12 @@ analyze(const FileSet &files)
             acquired.insert(acq.key);
         for (int li = node.def.bodyBeginLine;
              li <= node.def.bodyEndLine &&
-             li <= static_cast<int>(pf.strippedLines.size());
+             li <= static_cast<int>(pf.codeLines.size());
              ++li) {
             if (node.allowLines.count(li) != 0)
                 continue;
             const std::string &line =
-                pf.strippedLines[static_cast<std::size_t>(li - 1)];
+                pf.codeLines[static_cast<std::size_t>(li - 1)];
             bool flagged = false;
             for (auto it = std::sregex_iterator(line.begin(), line.end(),
                                                 kIdent);

@@ -2,13 +2,13 @@
 
 /**
  * @file
- * Engine of the static concurrency-discipline gate (`erec_conclint`):
- * a dependency-free pass in the archlint/hotpath family that keeps the
- * tree's locking provably disciplined before the migration/chaos work
- * starts stacking drain/kill protocols on top of it (DESIGN.md §14).
+ * The `conc` pass of erec_analyze: a static concurrency-discipline
+ * gate that keeps the tree's locking provably disciplined before the
+ * migration/chaos work starts stacking drain/kill protocols on top of
+ * it (DESIGN.md §14).
  *
- * The pass reuses the hotpath extractor's stripped-source function
- * machinery (tools/hotpath/hotpath_core.h) and runs three checks:
+ * The pass runs on the front end's functions and call graph
+ * (front_end.h) and runs three checks:
  *
  *  - lock-order-inversion: every `std::lock_guard` / `unique_lock` /
  *    `scoped_lock` site is an acquisition of a *canonical mutex* — the
@@ -18,7 +18,7 @@
  *    (directly in the same body, or through a call whose transitive
  *    summary acquires B) adds the edge A -> B to the lock-acquisition
  *    graph; a cycle in that graph is a potential deadlock. Cycles are
- *    found with an iterative Tarjan SCC (archlint's cycle printer) and
+ *    found with the front end's iterative Tarjan SCC and
  *    each edge of a cyclic SCC is reported with the concrete call path
  *    that acquires the pair in that order, so a two-lock inversion
  *    prints both acquisition paths.
@@ -35,7 +35,7 @@
  *  - annotation coverage: every mutex member declared in a library
  *    header must carry at least one ERC_GUARDED_BY(member) /
  *    ERC_PT_GUARDED_BY(member) field in the same file
- *    (unannotated-mutex, the closed-world version of the erec_lint
+ *    (unannotated-mutex, the closed-world version of the lint pass's
  *    opt-in rule: no runtime/ exemption here), and every function that
  *    touches a guarded field must either acquire the guarding mutex in
  *    its body or carry a capability annotation (ERC_REQUIRES /
@@ -65,22 +65,17 @@
  * tsan-stress), which actually interleaves the concurrency test
  * subset; the static gate exists so a lock-order inversion fails every
  * run, not just the unlucky ones.
- *
- * The engine works on an in-memory FileSet so tests drive it without
- * touching the filesystem; the CLI (conclint_main.cc) walks the real
- * tree. Exit codes follow the house convention: 0 = clean,
- * 1 = violations, 2 = usage error.
  */
 
 #include <cstddef>
-#include <map>
 #include <string>
 #include <vector>
 
+#include "tools/analyze/front_end.h"
+
 namespace erec::conclint {
 
-/** Repo-relative path -> file content. */
-using FileSet = std::map<std::string, std::string>;
+using analyze::FileSet;
 
 /** One concurrency-discipline violation at a source location. */
 struct Violation

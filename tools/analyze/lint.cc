@@ -1,9 +1,11 @@
-#include "tools/lint/lint_core.h"
+#include "tools/analyze/lint.h"
 
 #include <algorithm>
 #include <cctype>
 #include <regex>
 #include <sstream>
+
+#include "tools/analyze/front_end.h"
 
 namespace erec::lint {
 
@@ -36,25 +38,6 @@ bool
 isHeaderPath(const std::string &path)
 {
     return endsWith(path, ".h") || endsWith(path, ".hpp");
-}
-
-/** Split into lines; the trailing newline does not open an empty line. */
-std::vector<std::string>
-splitLines(const std::string &content)
-{
-    std::vector<std::string> lines;
-    std::size_t start = 0;
-    while (start <= content.size()) {
-        std::size_t nl = content.find('\n', start);
-        if (nl == std::string::npos) {
-            if (start < content.size())
-                lines.push_back(content.substr(start));
-            break;
-        }
-        lines.push_back(content.substr(start, nl - start));
-        start = nl + 1;
-    }
-    return lines;
 }
 
 /** Rules suppressed via "erec-lint: allow(rule)" markers. */
@@ -353,7 +336,7 @@ checkUnannotatedMutex(const std::string &path,
 
 /**
  * hot-path-annotation: hygiene for the ERC_HOT_PATH markers that feed
- * tools/hotpath (common/hotpath.h). A bare ERC_HOT_PATH must annotate
+ * the hotpath pass (common/hotpath.h). A bare ERC_HOT_PATH must annotate
  * a function declaration — an identifier plus parameter list must
  * follow before any `;`, `=` or `}` — because the hotpath analyzer
  * derives its roots from the declarator after the token; an annotation
@@ -463,105 +446,6 @@ classifyPath(const std::string &path)
     return FileClass::Skip;
 }
 
-std::string
-stripCommentsAndStrings(const std::string &content)
-{
-    std::string out;
-    out.reserve(content.size());
-    enum class State { Code, LineComment, BlockComment, String, Char };
-    State state = State::Code;
-
-    auto emit = [&out](char c) {
-        out.push_back(c == '\n' || c == '\t' ? c : ' ');
-    };
-
-    std::size_t i = 0;
-    const std::size_t n = content.size();
-    while (i < n) {
-        const char c = content[i];
-        const char next = i + 1 < n ? content[i + 1] : '\0';
-        switch (state) {
-          case State::Code:
-            if (c == '/' && next == '/') {
-                state = State::LineComment;
-                emit(c);
-                emit(next);
-                i += 2;
-            } else if (c == '/' && next == '*') {
-                state = State::BlockComment;
-                emit(c);
-                emit(next);
-                i += 2;
-            } else if (c == 'R' && next == '"' &&
-                       (i == 0 || (!std::isalnum(static_cast<unsigned char>(
-                                       content[i - 1])) &&
-                                   content[i - 1] != '_'))) {
-                // Raw string literal: R"delim( ... )delim"
-                std::size_t paren = content.find('(', i + 2);
-                if (paren == std::string::npos) {
-                    emit(c);
-                    ++i;
-                    break;
-                }
-                const std::string delim =
-                    content.substr(i + 2, paren - (i + 2));
-                const std::string closer = ")" + delim + "\"";
-                std::size_t close = content.find(closer, paren + 1);
-                const std::size_t end = close == std::string::npos
-                                            ? n
-                                            : close + closer.size();
-                for (; i < end; ++i)
-                    emit(content[i]);
-            } else if (c == '"') {
-                state = State::String;
-                emit(c);
-                ++i;
-            } else if (c == '\'') {
-                state = State::Char;
-                emit(c);
-                ++i;
-            } else {
-                out.push_back(c);
-                ++i;
-            }
-            break;
-          case State::LineComment:
-            if (c == '\n')
-                state = State::Code;
-            emit(c);
-            ++i;
-            break;
-          case State::BlockComment:
-            if (c == '*' && next == '/') {
-                state = State::Code;
-                emit(c);
-                emit(next);
-                i += 2;
-            } else {
-                emit(c);
-                ++i;
-            }
-            break;
-          case State::String:
-          case State::Char: {
-            const char quote = state == State::String ? '"' : '\'';
-            if (c == '\\' && i + 1 < n) {
-                emit(c);
-                emit(next);
-                i += 2;
-            } else {
-                if (c == quote)
-                    state = State::Code;
-                emit(c);
-                ++i;
-            }
-            break;
-          }
-        }
-    }
-    return out;
-}
-
 std::vector<Diagnostic>
 lintContent(const std::string &path, const std::string &content)
 {
@@ -570,9 +454,9 @@ lintContent(const std::string &path, const std::string &content)
     if (cls == FileClass::Skip)
         return diags;
 
-    const auto raw_lines = splitLines(content);
-    const std::string stripped = stripCommentsAndStrings(content);
-    const auto stripped_lines = splitLines(stripped);
+    const auto raw_lines = analyze::splitLines(content);
+    const std::string stripped = analyze::stripCommentsAndStrings(content);
+    const auto stripped_lines = analyze::splitLines(stripped);
     const auto sup = collectSuppressions(raw_lines);
 
     for (const auto &rule : lineRules()) {

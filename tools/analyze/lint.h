@@ -2,8 +2,8 @@
 
 /**
  * @file
- * Rule engine of the repo-specific linter (see tools/lint/README in the
- * top-level README's "Correctness tooling" section).
+ * The `lint` pass of erec_analyze: the repo-specific lint rules (see
+ * the top-level README's "Correctness tooling" section).
  *
  * The rules encode invariants of this codebase that clang-tidy cannot
  * express:
@@ -37,8 +37,8 @@
  *    can actually check the locking discipline; runtime/ pool
  *    internals are exempt (the blessed concurrency module).
  *  - hot-path-annotation: ERC_HOT_PATH (common/hotpath.h) is only
- *    valid directly before a function declaration — the tools/hotpath
- *    analyzer derives its roots from the declarator after the token —
+ *    valid directly before a function declaration — the hotpath pass
+ *    derives its roots from the declarator after the token —
  *    and ERC_HOT_PATH_ALLOW must carry a non-empty string reason
  *    (the waiver is the documentation). common/hotpath.h itself is
  *    exempt.
@@ -84,14 +84,10 @@ enum class FileClass
 FileClass classifyPath(const std::string &path);
 
 /**
- * Blank out comments, string literals and char literals (raw strings
- * included), preserving newlines so diagnostics keep exact line
- * numbers. Rules match against the stripped text; suppression markers
- * are collected from the raw text first.
+ * Lint one file's content. `path` is repo-relative or absolute. Rules
+ * match against the stripped text (analyze::stripCommentsAndStrings);
+ * suppression markers are collected from the raw text.
  */
-std::string stripCommentsAndStrings(const std::string &content);
-
-/** Lint one file's content. `path` is repo-relative or absolute. */
 std::vector<Diagnostic> lintContent(const std::string &path,
                                     const std::string &content);
 
