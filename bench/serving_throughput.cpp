@@ -170,7 +170,6 @@ runPoint(const std::shared_ptr<const model::Dlrm> &dlrm,
     runtime::ExecutorOptions exec_opts;
     exec_opts.workers = t;
     exec_opts.maxBatchSize = 8;
-    exec_opts.maxBatchDelayUs = 200;
     auto stack = serving::buildElasticRecStack(
         dlrm,
         {serving::TablePlan{.boundaries = {config.rowsPerTable / 64,

@@ -169,7 +169,8 @@ SEED
 
     # Seeded two-lock inversion: two functions acquiring the same mutex
     # pair in opposite orders — one of them through a helper — must
-    # fail and print both acquisition call paths.
+    # fail and print both acquisition call paths, the helper's path
+    # including the call site that orders the locks.
     seed="$out/conc-selftest"
     mkdir -p "$seed/src"
     cat > "$seed/src/inverted.cc" <<'SEED'
@@ -194,7 +195,8 @@ void lockBA()
 } // namespace seeded
 SEED
     expect_exit_1 "$seed" report.txt "$analyze" conc --root src
-    report_has "$seed/report.txt" lockAB lockBA helper
+    report_has "$seed/report.txt" lockAB lockBA helper \
+        "lockBA (src/inverted.cc:17) -> helper (src/inverted.cc:12)"
 }
 
 # Perf-regression gate: run the concurrent serving throughput sweep

@@ -2,9 +2,10 @@
 
 /**
  * @file
- * Dynamic counterpart of the `erec_hotpath` static pass: thread-local
- * operator-new/delete counting plus a scoped RAII gate that charges the
- * allocations a code region performs to a named AllocRegion.
+ * Dynamic counterpart of the `erec_analyze hotpath` static pass:
+ * thread-local operator-new/delete counting plus a scoped RAII gate
+ * that charges the allocations a code region performs to a named
+ * AllocRegion.
  *
  * Linking `common/alloc_tracker.cc` into a binary installs global
  * replacement operator new/delete that bump thread-local counters on

@@ -2,10 +2,10 @@
 
 /**
  * @file
- * Hot-path discipline annotations, consumed by the `erec_hotpath`
- * static pass (tools/hotpath). Both macros expand to nothing: the
- * annotations carry zero runtime cost and exist purely as tokens the
- * analyzer can see.
+ * Hot-path discipline annotations, consumed by the
+ * `erec_analyze hotpath` static pass (tools/analyze). Both macros
+ * expand to nothing: the annotations carry zero runtime cost and exist
+ * purely as tokens the analyzer can see.
  *
  *  - ERC_HOT_PATH marks a function declaration as a hot-path *root*:
  *    the steady-state serving path enters through it, so the function
@@ -23,7 +23,7 @@
  *    function definition it exempts the whole function and stops
  *    traversal into it. The reason string is mandatory and must say
  *    *why* the violation is acceptable (e.g. "reserve-once at worker
- *    startup", "bounded by maxBatchSize"); erec_lint's
+ *    startup", "bounded by maxBatchSize"); the `erec_analyze lint`
  *    hot-path-annotation rule rejects empty reasons.
  *
  * DESIGN.md section 10 documents what counts as steady state and when
@@ -36,5 +36,8 @@
 /** Marks a function declaration as a hot-path root. */
 #define ERC_HOT_PATH
 
-/** Suppresses erec_hotpath findings; see file comment for scope. */
+/**
+ * Suppresses `erec_analyze hotpath` findings; see file comment for
+ * scope.
+ */
 #define ERC_HOT_PATH_ALLOW(reason)

@@ -56,8 +56,8 @@
     ERC_THREAD_ANNOTATION_ATTRIBUTE(no_thread_safety_analysis)
 
 /**
- * Waiver marker for the static concurrency gate (`erec_conclint`,
- * scripts/check.sh concurrency). Expands to nothing — the analyzer
+ * Waiver marker for the static concurrency gate (`erec_analyze conc`,
+ * scripts/check.sh analyze). Expands to nothing — the analyzer
  * reads it lexically from the raw source:
  *
  *  - On a line (or the line directly above a statement) inside a

@@ -6,13 +6,15 @@
  * embedding / output dimension only, so every output lane accumulates
  * the same values in the same order as the scalar reference.
  *
- * Gather blocking: columns are processed in blocks of 64 floats held
- * in eight YMM accumulators, so the running sums stay register-
- * resident across the whole bag and each gathered row costs pure
- * loads + adds; upcoming rows are software-prefetched on the first
- * column pass. GEMM tiling: each output row is computed in register
- * tiles of 32 columns (four YMM accumulators) with the k loop
- * ascending, W rows streamed once per tile.
+ * Gather blocking: columns are processed in passes of up to 64 floats
+ * held in up to eight YMM accumulators, so the running sums stay
+ * register-resident across the whole bag and each gathered row costs
+ * pure loads + adds. A row of 64 floats or fewer is pooled in one
+ * pass, and each pass prefetches its columns of the row
+ * kPrefetchDistance positions ahead, across bag boundaries. GEMM
+ * tiling: each output row is computed in register tiles of 32 columns
+ * (four YMM accumulators) with the k loop ascending, W rows streamed
+ * once per tile.
  */
 
 #include "elasticrec/kernels/backend_impl.h"
@@ -31,24 +33,32 @@ namespace {
 /** Rows gathered ahead of the current one to hide DRAM latency. */
 constexpr std::size_t kPrefetchDistance = 8;
 
-/** Accumulate columns [c0, c0 + 8*kBlocks) of one bag into `acc`. */
+/**
+ * Accumulate columns [c0, c0 + 8*kBlocks) of one bag's rows
+ * [begin, end) into `acc`. Every cache line (two 8-float blocks) of
+ * those columns is prefetched for the row kPrefetchDistance positions
+ * ahead in the whole index array, so short bags prefetch into the
+ * next bag.
+ */
 template <int kBlocks>
 void
 poolColumns(const TableSlice &table, const GatherRequest &req,
             std::size_t begin, std::size_t end, std::uint32_t c0,
-            bool prefetch, float *acc)
+            float *acc)
 {
     __m256 sum[kBlocks];
     for (int v = 0; v < kBlocks; ++v)
         sum[v] = _mm256_setzero_ps();
     const std::uint32_t dim = table.dim;
     for (std::size_t i = begin; i < end; ++i) {
-        if (prefetch && i + kPrefetchDistance < end) {
+        if (i + kPrefetchDistance < req.numIndices) {
             const float *ahead = detail::prefetchRow(
                 table, req.indices[i + kPrefetchDistance]);
             if (ahead != nullptr)
-                _mm_prefetch(reinterpret_cast<const char *>(ahead + c0),
-                             _MM_HINT_T0);
+                for (int v = 0; v < kBlocks; v += 2)
+                    _mm_prefetch(reinterpret_cast<const char *>(
+                                     ahead + c0 + 8 * v),
+                                 _MM_HINT_T0);
         }
         const float *src =
             table.rows + detail::resolveRow(table, req.indices[i]) * dim + c0;
@@ -57,6 +67,29 @@ poolColumns(const TableSlice &table, const GatherRequest &req,
     }
     for (int v = 0; v < kBlocks; ++v)
         _mm256_storeu_ps(acc + c0 + 8 * v, sum[v]);
+}
+
+/**
+ * Pool the 8-float blocks left after the full 64-float passes in one
+ * pass over the bag. Returns the first column not covered.
+ */
+std::uint32_t
+poolRemainingBlocks(const TableSlice &table, const GatherRequest &req,
+                    std::size_t begin, std::size_t end, std::uint32_t c0,
+                    float *acc)
+{
+    const std::uint32_t blocks = (table.dim - c0) / 8;
+    switch (blocks) {
+    case 1: poolColumns<1>(table, req, begin, end, c0, acc); break;
+    case 2: poolColumns<2>(table, req, begin, end, c0, acc); break;
+    case 3: poolColumns<3>(table, req, begin, end, c0, acc); break;
+    case 4: poolColumns<4>(table, req, begin, end, c0, acc); break;
+    case 5: poolColumns<5>(table, req, begin, end, c0, acc); break;
+    case 6: poolColumns<6>(table, req, begin, end, c0, acc); break;
+    case 7: poolColumns<7>(table, req, begin, end, c0, acc); break;
+    default: break;
+    }
+    return c0 + 8 * blocks;
 }
 
 /** One register tile of kBlocks*8 output columns starting at o0. */
@@ -104,11 +137,8 @@ class Avx2Backend final : public KernelBackend
             float *acc = out + b * static_cast<std::size_t>(dim);
             std::uint32_t c0 = 0;
             for (; c0 + 64 <= dim; c0 += 64)
-                poolColumns<8>(table, req, begin, end, c0,
-                               /*prefetch=*/c0 == 0, acc);
-            for (; c0 + 8 <= dim; c0 += 8)
-                poolColumns<1>(table, req, begin, end, c0,
-                               /*prefetch=*/c0 == 0, acc);
+                poolColumns<8>(table, req, begin, end, c0, acc);
+            c0 = poolRemainingBlocks(table, req, begin, end, c0, acc);
             if (c0 < dim) {
                 std::memset(acc + c0, 0, (dim - c0) * sizeof(float));
                 for (std::size_t i = begin; i < end; ++i) {

@@ -1,12 +1,13 @@
 /**
  * @file
  * AVX-512 backend: 16-lane gather-pool and GEMM, same blocking scheme
- * as the AVX2 backend at twice the lane width (column blocks of 128
- * floats in eight ZMM accumulators; GEMM register tiles of 64
- * columns). Compiled with -mavx512f and -ffp-contract=off; see
- * backend_avx2.cc for the bit-identity reasoning, which is unchanged:
- * lanes map 1:1 onto output dimensions, so per-lane accumulation
- * order matches the scalar reference exactly.
+ * as the AVX2 backend at twice the lane width (column passes of up to
+ * 128 floats in up to eight ZMM accumulators, one 16-float block per
+ * cache line; GEMM register tiles of 64 columns). Compiled with
+ * -mavx512f and -ffp-contract=off; see backend_avx2.cc for the
+ * bit-identity reasoning, which is unchanged: lanes map 1:1 onto
+ * output dimensions, so per-lane accumulation order matches the
+ * scalar reference exactly.
  */
 
 #include "elasticrec/kernels/backend_impl.h"
@@ -25,24 +26,31 @@ namespace {
 /** Rows gathered ahead of the current one to hide DRAM latency. */
 constexpr std::size_t kPrefetchDistance = 8;
 
-/** Accumulate columns [c0, c0 + 16*kBlocks) of one bag into `acc`. */
+/**
+ * Accumulate columns [c0, c0 + 16*kBlocks) of one bag's rows
+ * [begin, end) into `acc`. Every cache line of those columns is
+ * prefetched for the row kPrefetchDistance positions ahead in the
+ * whole index array, so short bags prefetch into the next bag.
+ */
 template <int kBlocks>
 void
 poolColumns(const TableSlice &table, const GatherRequest &req,
             std::size_t begin, std::size_t end, std::uint32_t c0,
-            bool prefetch, float *acc)
+            float *acc)
 {
     __m512 sum[kBlocks];
     for (int v = 0; v < kBlocks; ++v)
         sum[v] = _mm512_setzero_ps();
     const std::uint32_t dim = table.dim;
     for (std::size_t i = begin; i < end; ++i) {
-        if (prefetch && i + kPrefetchDistance < end) {
+        if (i + kPrefetchDistance < req.numIndices) {
             const float *ahead = detail::prefetchRow(
                 table, req.indices[i + kPrefetchDistance]);
             if (ahead != nullptr)
-                _mm_prefetch(reinterpret_cast<const char *>(ahead + c0),
-                             _MM_HINT_T0);
+                for (int v = 0; v < kBlocks; ++v)
+                    _mm_prefetch(reinterpret_cast<const char *>(
+                                     ahead + c0 + 16 * v),
+                                 _MM_HINT_T0);
         }
         const float *src =
             table.rows + detail::resolveRow(table, req.indices[i]) * dim + c0;
@@ -51,6 +59,29 @@ poolColumns(const TableSlice &table, const GatherRequest &req,
     }
     for (int v = 0; v < kBlocks; ++v)
         _mm512_storeu_ps(acc + c0 + 16 * v, sum[v]);
+}
+
+/**
+ * Pool the 16-float blocks left after the full 128-float passes in one
+ * pass over the bag. Returns the first column not covered.
+ */
+std::uint32_t
+poolRemainingBlocks(const TableSlice &table, const GatherRequest &req,
+                    std::size_t begin, std::size_t end, std::uint32_t c0,
+                    float *acc)
+{
+    const std::uint32_t blocks = (table.dim - c0) / 16;
+    switch (blocks) {
+    case 1: poolColumns<1>(table, req, begin, end, c0, acc); break;
+    case 2: poolColumns<2>(table, req, begin, end, c0, acc); break;
+    case 3: poolColumns<3>(table, req, begin, end, c0, acc); break;
+    case 4: poolColumns<4>(table, req, begin, end, c0, acc); break;
+    case 5: poolColumns<5>(table, req, begin, end, c0, acc); break;
+    case 6: poolColumns<6>(table, req, begin, end, c0, acc); break;
+    case 7: poolColumns<7>(table, req, begin, end, c0, acc); break;
+    default: break;
+    }
+    return c0 + 16 * blocks;
 }
 
 /** One register tile of kBlocks*16 output columns starting at o0. */
@@ -98,11 +129,8 @@ class Avx512Backend final : public KernelBackend
             float *acc = out + b * static_cast<std::size_t>(dim);
             std::uint32_t c0 = 0;
             for (; c0 + 128 <= dim; c0 += 128)
-                poolColumns<8>(table, req, begin, end, c0,
-                               /*prefetch=*/c0 == 0, acc);
-            for (; c0 + 16 <= dim; c0 += 16)
-                poolColumns<1>(table, req, begin, end, c0,
-                               /*prefetch=*/c0 == 0, acc);
+                poolColumns<8>(table, req, begin, end, c0, acc);
+            c0 = poolRemainingBlocks(table, req, begin, end, c0, acc);
             if (c0 < dim) {
                 std::memset(acc + c0, 0, (dim - c0) * sizeof(float));
                 for (std::size_t i = begin; i < end; ++i) {

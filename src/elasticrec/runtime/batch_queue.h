@@ -10,9 +10,10 @@
  *
  * Coalescing policy, per popBatch() call:
  *  - block until at least one item (or close()) is available;
- *  - take everything queued, up to maxBatchSize;
- *  - if the batch is still short and maxBatchDelay is non-zero, keep
- *    waiting up to the delay for more items before returning.
+ *  - take everything queued, up to maxBatchSize, and return at once.
+ * A short batch never lingers for stragglers: the consumers serve a
+ * batch's members one by one, so waiting would buy no amortization
+ * and only delay the items already taken.
  *
  * The capacity bound gives producers backpressure: push() blocks while
  * the queue is full, so an overloaded executor slows its clients down
@@ -23,10 +24,9 @@
  * construction and popBatch() fills a caller-owned batch vector, so
  * the steady state allocates nothing — push/pop are wrapped in
  * AllocGate scopes charged to the "batch-queue" region, and the
- * `erec_hotpath` static pass treats both as roots.
+ * `erec_analyze hotpath` static pass treats both as roots.
  */
 
-#include <chrono>
 #include <condition_variable>
 #include <cstddef>
 #include <cstdint>
@@ -47,11 +47,6 @@ struct BatchQueueOptions
     std::size_t capacity = 1024;
     /** Largest batch one popBatch() call returns. */
     std::size_t maxBatchSize = 8;
-    /**
-     * How long popBatch() lingers for more items once it holds a
-     * non-empty, non-full batch. Zero flushes immediately.
-     */
-    std::chrono::microseconds maxBatchDelay{100};
 };
 
 /** Region charged by the AllocGates inside push() and popBatch(). */
@@ -70,8 +65,6 @@ class BatchQueue
     {
         ERC_CHECK(opts_.capacity >= 1, "queue capacity must be >= 1");
         ERC_CHECK(opts_.maxBatchSize >= 1, "max batch size must be >= 1");
-        ERC_CHECK(opts_.maxBatchDelay.count() >= 0,
-                  "max batch delay must be non-negative");
         // All storage up front: the steady state never reallocates.
         ring_.resize(opts_.capacity);
     }
@@ -97,18 +90,18 @@ class BatchQueue
     }
 
     /**
-     * Dequeue the next coalesced batch (1..maxBatchSize items, FIFO)
-     * into `batch`, which is cleared first and whose capacity is
+     * Dequeue the next coalesced batch into `batch`: every queued item
+     * up to maxBatchSize, FIFO, without waiting for more once at least
+     * one is available. `batch` is cleared first and its capacity is
      * reused across calls (hence allocation-free once warm). An empty
      * result means the queue is closed and fully drained.
      *
      * Shutdown contract (drain-then-empty): items queued before
      * close() are never lost. Every popBatch() call after close()
-     * returns residual items in FIFO order — without lingering for
-     * maxBatchDelay, since no more producers can arrive — until the
-     * queue is empty, and from then on returns an empty batch
-     * immediately. "Empty batch" is therefore the one and only
-     * termination signal a consumer needs.
+     * returns residual items in FIFO order until the queue is empty,
+     * and from then on returns an empty batch immediately. "Empty
+     * batch" is therefore the one and only termination signal a
+     * consumer needs.
      */
     ERC_HOT_PATH
     void popBatch(std::vector<T> *batch)
@@ -122,19 +115,11 @@ class BatchQueue
             notEmpty_.wait(lock);
         if (size_ == 0)
             return; // Closed and drained.
-        takeAvailable(batch);
-        if (batch->size() < opts_.maxBatchSize &&
-            opts_.maxBatchDelay.count() > 0) {
-            const auto deadline =
-                std::chrono::steady_clock::now() + opts_.maxBatchDelay;
-            while (batch->size() < opts_.maxBatchSize && !closed_) {
-                if (notEmpty_.wait_until(lock, deadline) ==
-                    std::cv_status::timeout) {
-                    takeAvailable(batch);
-                    break;
-                }
-                takeAvailable(batch);
-            }
+        while (batch->size() < opts_.maxBatchSize && size_ > 0) {
+            // Bounded by the reserve() above: never grows.
+            batch->push_back(std::move(ring_[head_])); // ERC_HOT_PATH_ALLOW("bounded by maxBatchSize; the caller's buffer is pre-reserved")
+            head_ = (head_ + 1) % opts_.capacity;
+            --size_;
         }
         notFull_.notify_all();
     }
@@ -176,16 +161,6 @@ class BatchQueue
     const BatchQueueOptions &options() const { return opts_; }
 
   private:
-    void takeAvailable(std::vector<T> *batch) ERC_REQUIRES(mutex_)
-    {
-        while (batch->size() < opts_.maxBatchSize && size_ > 0) {
-            // Bounded by the reserve() in popBatch(): never grows.
-            batch->push_back(std::move(ring_[head_])); // ERC_HOT_PATH_ALLOW("bounded by maxBatchSize; the caller's buffer is pre-reserved")
-            head_ = (head_ + 1) % opts_.capacity;
-            --size_;
-        }
-    }
-
     const BatchQueueOptions opts_;
     mutable std::mutex mutex_;
     std::condition_variable notEmpty_;

@@ -50,10 +50,8 @@ struct ExecutorOptions
 {
     /** Worker threads; 0 selects the deterministic serial mode. */
     std::size_t workers = 0;
-    /** Largest coalesced request batch a worker serves at once. */
+    /** Most already-queued requests a worker takes in one batch. */
     std::size_t maxBatchSize = 8;
-    /** How long a short batch lingers for more requests, microseconds. */
-    std::uint64_t maxBatchDelayUs = 100;
     /** Bounded request-queue capacity (producer backpressure). */
     std::size_t queueCapacity = 1024;
 };

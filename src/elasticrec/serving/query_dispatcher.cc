@@ -46,7 +46,6 @@ QueryDispatcher::QueryDispatcher(
     runtime::BatchQueueOptions qopts;
     qopts.capacity = opts.queueCapacity;
     qopts.maxBatchSize = opts.maxBatchSize;
-    qopts.maxBatchDelay = std::chrono::microseconds(opts.maxBatchDelayUs);
     queue_ = std::make_unique<runtime::BatchQueue<Job>>(qopts);
     pumps_.reserve(executor_->workers());
     for (std::size_t w = 0; w < executor_->workers(); ++w)

@@ -48,7 +48,7 @@ class QueryDispatcher
      * @param serve Called once per query, possibly concurrently from
      *        several pool workers; it must be thread-safe.
      * @param executor Supplies the worker pool and the batching knobs
-     *        (maxBatchSize / maxBatchDelayUs / queueCapacity).
+     *        (maxBatchSize / queueCapacity).
      * @param recorder Optional flight recorder: when set and enabled,
      *        submit() samples queries deterministically (every Nth)
      *        and the dispatcher emits the causal span skeleton —

@@ -1,8 +1,8 @@
 /**
  * @file
  * Tests for runtime::BatchQueue: coalescing respects maxBatchSize and
- * FIFO order, the linger delay flushes short batches, the capacity
- * bound backpressures producers, and close() drains cleanly.
+ * FIFO order, a short batch returns at once, the capacity bound
+ * backpressures producers, and close() drains cleanly.
  */
 
 #include <gtest/gtest.h>
@@ -20,19 +20,17 @@ namespace erec::runtime {
 namespace {
 
 BatchQueueOptions
-opts(std::size_t capacity, std::size_t max_batch,
-     std::chrono::microseconds delay)
+opts(std::size_t capacity, std::size_t max_batch)
 {
     BatchQueueOptions o;
     o.capacity = capacity;
     o.maxBatchSize = max_batch;
-    o.maxBatchDelay = delay;
     return o;
 }
 
 TEST(BatchQueueTest, CoalescesFifoUpToMaxBatchSize)
 {
-    BatchQueue<int> q(opts(64, 4, std::chrono::microseconds(0)));
+    BatchQueue<int> q(opts(64, 4));
     for (int i = 0; i < 10; ++i)
         EXPECT_TRUE(q.push(i));
     EXPECT_EQ(q.depth(), 10u);
@@ -54,50 +52,27 @@ TEST(BatchQueueTest, CoalescesFifoUpToMaxBatchSize)
     EXPECT_EQ(q.totalPushed(), 10u);
 }
 
-TEST(BatchQueueTest, LingerDelayCollectsLateArrivals)
+TEST(BatchQueueTest, ShortBatchReturnsWithoutLingering)
 {
-    BatchQueue<int> q(opts(64, 4, std::chrono::milliseconds(200)));
-    ASSERT_TRUE(q.push(1));
-    std::thread late([&q] {
-        std::this_thread::sleep_for(std::chrono::milliseconds(10));
-        q.push(2);
-        q.push(3);
-    });
-    // popBatch holds a short batch and lingers: the late pushes land
-    // well inside the 200 ms window and must join this batch.
-    std::vector<int> batch;
-    q.popBatch(&batch);
-    late.join();
-    EXPECT_EQ(batch, (std::vector<int>{1, 2, 3}));
-}
-
-TEST(BatchQueueTest, ZeroDelayFlushesShortBatchImmediately)
-{
-    BatchQueue<int> q(opts(64, 8, std::chrono::microseconds(0)));
+    // One queued item against a batch of 8: popBatch hands it over at
+    // once instead of waiting for stragglers, and a later push starts
+    // the next batch.
+    BatchQueue<int> q(opts(64, 8));
     ASSERT_TRUE(q.push(42));
     const auto t0 = std::chrono::steady_clock::now();
     std::vector<int> batch;
     q.popBatch(&batch);
     const auto elapsed = std::chrono::steady_clock::now() - t0;
     EXPECT_EQ(batch, (std::vector<int>{42}));
-    EXPECT_LT(elapsed, std::chrono::seconds(5)); // No linger stall.
-}
-
-TEST(BatchQueueTest, FullBatchReturnsWithoutWaitingForDelay)
-{
-    // With maxBatchSize items already queued the linger must not run:
-    // an (absurd) hour-long delay would hang the test otherwise.
-    BatchQueue<int> q(opts(64, 2, std::chrono::hours(1)));
-    ASSERT_TRUE(q.push(1));
-    ASSERT_TRUE(q.push(2));
-    std::vector<int> batch;
+    EXPECT_LT(elapsed, std::chrono::seconds(1));
+    ASSERT_TRUE(q.push(43));
     q.popBatch(&batch);
-    EXPECT_EQ(batch, (std::vector<int>{1, 2}));
+    EXPECT_EQ(batch, (std::vector<int>{43}));
 }
 
 TEST(BatchQueueTest, CapacityBoundBackpressuresProducer)
 {
-    BatchQueue<int> q(opts(2, 2, std::chrono::microseconds(0)));
+    BatchQueue<int> q(opts(2, 2));
     std::atomic<int> produced{0};
     std::thread producer([&] {
         for (int i = 0; i < 10; ++i) {
@@ -120,7 +95,7 @@ TEST(BatchQueueTest, CapacityBoundBackpressuresProducer)
 
 TEST(BatchQueueTest, CloseRejectsPushesAndDrainsBacklog)
 {
-    BatchQueue<int> q(opts(64, 4, std::chrono::microseconds(0)));
+    BatchQueue<int> q(opts(64, 4));
     ASSERT_TRUE(q.push(1));
     ASSERT_TRUE(q.push(2));
     q.close();
@@ -136,12 +111,11 @@ TEST(BatchQueueTest, CloseRejectsPushesAndDrainsBacklog)
 
 // The drain-then-empty shutdown contract (documented on popBatch):
 // residual items queued before close() drain in FIFO order across as
-// many batches as needed, post-close pops never linger for
-// maxBatchDelay, and once drained every further pop returns empty.
+// many batches as needed, and once drained every further pop returns
+// empty.
 TEST(BatchQueueTest, ShutdownDrainsResidualItemsThenStaysEmpty)
 {
-    // A long linger delay that a post-close pop must NOT pay.
-    BatchQueue<int> q(opts(64, 4, std::chrono::seconds(5)));
+    BatchQueue<int> q(opts(64, 4));
     for (int i = 0; i < 10; ++i)
         ASSERT_TRUE(q.push(i));
     q.close();
@@ -162,8 +136,7 @@ TEST(BatchQueueTest, ShutdownDrainsResidualItemsThenStaysEmpty)
     std::iota(expected.begin(), expected.end(), 0);
     EXPECT_EQ(seen, expected);
     // 10 items / maxBatchSize 4 => a short final batch of 2, which a
-    // closed queue must flush immediately instead of waiting out the
-    // 5 s delay for producers that can never arrive.
+    // closed queue flushes immediately.
     EXPECT_LT(elapsed, std::chrono::seconds(1));
 
     // Drained is terminal: every subsequent pop is empty.
@@ -179,7 +152,7 @@ TEST(BatchQueueTest, ShutdownDrainsResidualItemsThenStaysEmpty)
 
 TEST(BatchQueueTest, CloseWakesBlockedConsumer)
 {
-    BatchQueue<int> q(opts(64, 4, std::chrono::microseconds(0)));
+    BatchQueue<int> q(opts(64, 4));
     std::thread consumer([&q] {
         std::vector<int> batch;
         q.popBatch(&batch);
@@ -192,15 +165,8 @@ TEST(BatchQueueTest, CloseWakesBlockedConsumer)
 
 TEST(BatchQueueTest, RejectsBadOptions)
 {
-    EXPECT_THROW(BatchQueue<int>(
-                     opts(0, 4, std::chrono::microseconds(0))),
-                 ConfigError);
-    EXPECT_THROW(BatchQueue<int>(
-                     opts(4, 0, std::chrono::microseconds(0))),
-                 ConfigError);
-    EXPECT_THROW(BatchQueue<int>(
-                     opts(4, 4, std::chrono::microseconds(-1))),
-                 ConfigError);
+    EXPECT_THROW(BatchQueue<int>(opts(0, 4)), ConfigError);
+    EXPECT_THROW(BatchQueue<int>(opts(4, 0)), ConfigError);
 }
 
 } // namespace

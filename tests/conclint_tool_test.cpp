@@ -97,6 +97,12 @@ void lockBA()
     EXPECT_NE(text.find("lockAB"), std::string::npos);
     EXPECT_NE(text.find("lockBA"), std::string::npos);
     EXPECT_NE(text.find("helper"), std::string::npos);
+    // The b_->a_ witness names lockBA's helper() call (line 17)
+    // between its b_ acquisition and the helper's a_ acquisition.
+    EXPECT_NE(text.find("lockBA (src/demo.cc:16) -> lockBA (src/demo.cc:17)"
+                        " -> helper (src/demo.cc:12)"),
+              std::string::npos)
+        << text;
     for (const auto &v : inv)
         EXPECT_FALSE(v.path.empty());
     EXPECT_EQ(a.edges.size(), 2u);

@@ -4,7 +4,7 @@
  * through sampled access counts, the access CDF, the DP partitioner and
  * the deployment planner must produce byte-identical results when run
  * twice from the same seed. This dynamically guards the repo's
- * no-unseeded-randomness lint rule (tools/lint) — any std::rand /
+ * no-unseeded-randomness lint rule (`erec_analyze lint`) — any std::rand /
  * random_device / time() sneaking into the pipeline shows up here as a
  * plan diff.
  */

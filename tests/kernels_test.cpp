@@ -71,9 +71,14 @@ bytesEqual(const std::vector<float> &a, const std::vector<float> &b)
 
 TEST(KernelBackendTest, GatherBitIdenticalAcrossBackends)
 {
-    // Dims cover vector-width multiples (32..256) and ugly tails (1,
-    // 7, 17, 100 — not a multiple of 8 or 16 lanes).
-    for (const std::uint32_t dim : {1u, 7u, 17u, 32u, 100u, 128u, 256u}) {
+    // Dims cover ugly tails (1, 7, 17, 100 — not a multiple of 8 or
+    // 16 lanes), every AVX-512 16-float block count 1..7 left after
+    // the 128-float passes (16..112, and 144 / 240 behind a full
+    // pass), every AVX2 8-float block count 1..7 left after the
+    // 64-float passes (8..56, 80, 112), and whole passes (128, 256).
+    for (const std::uint32_t dim :
+         {1u, 7u, 8u, 16u, 17u, 24u, 32u, 40u, 48u, 56u, 64u, 80u, 100u,
+          112u, 128u, 144u, 240u, 256u}) {
         const std::uint64_t rows = 512;
         const auto data = randomRows(rows, dim, /*seed=*/dim);
         TableSlice slice;
@@ -140,14 +145,14 @@ TEST(KernelBackendTest, GatherBitIdenticalOnRemappedShardSlice)
 
 TEST(KernelBackendTest, GatherRejectsBadRequests)
 {
-    const std::uint32_t dim = 8;
+    const std::uint32_t dim = 32; // Wide enough for every SIMD pass.
     const auto data = randomRows(16, dim, 2);
     TableSlice slice;
     slice.rows = data.data();
     slice.dim = dim;
     slice.rankCount = 16;
     slice.storageRows = 16;
-    std::vector<float> out(2 * dim);
+    std::vector<float> out(4 * dim);
 
     for (const KernelBackend *backend : availableBackends()) {
         // Empty batch.
@@ -166,6 +171,16 @@ TEST(KernelBackendTest, GatherRejectsBadRequests)
         const std::vector<std::uint32_t> idx = {1, 2};
         const std::vector<std::uint32_t> bad_off = {2, 0};
         EXPECT_THROW(backend->gatherSumPool(slice, {idx, bad_off},
+                                            out.data()),
+                     ConfigError)
+            << backend->name();
+        // Bags of three, shorter than the prefetch distance, with the
+        // escaping rank in the last bag: earlier bags prefetch it
+        // across bag boundaries, and only the real access raises.
+        const std::vector<std::uint32_t> short_idx = {
+            1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 16, 11};
+        const std::vector<std::uint32_t> short_off = {0, 3, 6, 9};
+        EXPECT_THROW(backend->gatherSumPool(slice, {short_idx, short_off},
                                             out.data()),
                      ConfigError)
             << backend->name();

@@ -61,7 +61,6 @@ makeStack(const std::shared_ptr<const model::Dlrm> &dlrm,
         runtime::ExecutorOptions exec_opts;
         exec_opts.workers = workers;
         exec_opts.maxBatchSize = 4;
-        exec_opts.maxBatchDelayUs = 100;
         options.executor =
             std::make_shared<runtime::Executor>(exec_opts);
     }
@@ -125,7 +124,7 @@ TEST(RuntimeServingTest, SteadyStateServingDoesNotAllocateInGates)
 
     // Steady state: every AllocGate region (queue push/pop, pool
     // dequeue, dispatcher pump bookkeeping, embedding gathers) must
-    // observe zero allocations — the dynamic form of the erec_hotpath
+    // observe zero allocations — the dynamic form of the hot-path
     // static contract, and the claim behind the bench's
     // allocs_per_query=0 perf-gate override.
     resetAllocRegionStats();

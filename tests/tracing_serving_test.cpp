@@ -64,7 +64,6 @@ makeTracedStack(const std::shared_ptr<const model::Dlrm> &dlrm,
     runtime::ExecutorOptions exec_opts;
     exec_opts.workers = workers;
     exec_opts.maxBatchSize = 4;
-    exec_opts.maxBatchDelayUs = 100;
     options.executor = std::make_shared<runtime::Executor>(exec_opts);
     options.traceSampleEvery = sample_every;
     options.traceRingCapacity = ring_capacity;

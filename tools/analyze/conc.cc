@@ -635,8 +635,13 @@ analyze(const FileSet &files)
                                 already = true;
                         if (already)
                             continue;
+                        // The call site orders the locks: it leads the
+                        // callee's acquisition path.
+                        std::vector<std::string> via{
+                            step(node, pf.path, li)};
+                        via.insert(via.end(), path.begin(), path.end());
                         for (const Held &h : held)
-                            addEdge(h.key, h.line, key, path);
+                            addEdge(h.key, h.line, key, via);
                     }
                 }
                 if (!sum.blocksPath.empty())
