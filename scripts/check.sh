@@ -40,16 +40,17 @@ configure_build_test() {
         --timeout "$ctest_timeout"
 }
 
-# Must-fail self-test: run the command $3... in directory $1, keeping
-# its output in $1/$2. It must exit exactly 1: a gate that cannot fail
-# is not a gate, and exit 2 is a usage or parse error, not the gate
-# firing.
-expect_exit_1() {
-    local dir="$1" report="$1/$2" rc=0
-    shift 2
+# Must-fail self-test: run the command $4... in directory $2, keeping
+# its output in $2/$3. It must exit exactly $1. A gate self-test
+# expects 1: a gate that cannot fail is not a gate, and exit 2 is a
+# usage or parse error, not the gate firing. A malformed-input
+# self-test expects 2: the tool must reject the input, not crash.
+expect_exit() {
+    local want="$1" dir="$2" report="$2/$3" rc=0
+    shift 3
     (cd "$dir" && "$@") > "$report" 2>&1 || rc=$?
-    if [ "$rc" -ne 1 ]; then
-        echo "self-test: expected exit 1 from $*, got $rc" >&2
+    if [ "$rc" -ne "$want" ]; then
+        echo "self-test: expected exit $want from $*, got $rc" >&2
         cat "$report" >&2
         exit 1
     fi
@@ -139,7 +140,7 @@ stage_analyze() {
 #include "elasticrec/sim/seeded.h"
 SEED
     printf '#pragma once\n' > "$seed/src/elasticrec/sim/seeded.h"
-    expect_exit_1 "$seed" report.txt \
+    expect_exit 1 "$seed" report.txt \
         "$analyze" arch --root src --config "$layers"
     report_has "$seed/report.txt" '`common` may not include `sim`'
 
@@ -164,7 +165,7 @@ void helper(int n) { sink.push_back(n); }
 void serve(int n) { helper(n); }
 } // namespace seeded
 SEED
-    expect_exit_1 "$seed" report.txt "$analyze" hotpath --root src
+    expect_exit 1 "$seed" report.txt "$analyze" hotpath --root src
     report_has "$seed/report.txt" "serve -> helper"
 
     # Seeded two-lock inversion: two functions acquiring the same mutex
@@ -194,7 +195,7 @@ void lockBA()
 }
 } // namespace seeded
 SEED
-    expect_exit_1 "$seed" report.txt "$analyze" conc --root src
+    expect_exit 1 "$seed" report.txt "$analyze" conc --root src
     report_has "$seed/report.txt" lockAB lockBA helper \
         "lockBA (src/inverted.cc:17) -> helper (src/inverted.cc:12)"
 }
@@ -207,7 +208,8 @@ SEED
 # clean), and trace_overhead_pct — the traced-vs-untraced QPS delta —
 # must stay at or below the 5% baseline ceiling. Then self-test both
 # gates: the trace gate by inflating trace_overhead_pct in a copy of
-# the current results, the QPS gate with a throttled sweep. Finally
+# the current results, the QPS gate with a throttled sweep; and check
+# that a deeply nested baseline is rejected with exit 2. Finally
 # build the repo benchmark (perfbench/, its own stand-alone CMake
 # project) in its own tree and run perfbench_selftest, the synthetic
 # checks of the benchmark's statistics. Set ELASTICREC_BENCH_OUT to keep
@@ -240,18 +242,26 @@ stage_bench() {
     # to 3x the 5% baseline ceiling and assert the gate exits 1.
     sed 's/"trace_overhead_pct": [0-9.]*/"trace_overhead_pct": 15.0/' \
         "$out/BENCH_serving.json" > "$out/BENCH_serving_inflated.json"
-    expect_exit_1 "$out" benchdiff-inflated.txt "$benchdiff" \
+    expect_exit 1 "$out" benchdiff-inflated.txt "$benchdiff" \
         "$repo_root/bench/baselines/BENCH_serving.json" \
         "$out/BENCH_serving_inflated.json" --tolerance 15% \
         --metric-tolerance allocs_per_query=0 \
         --metric-tolerance trace_overhead_pct=0
+
+    # Malformed-input self-test: a baseline nested far deeper than the
+    # JSON reader's depth limit must be rejected with exit 2, not crash
+    # the gate with a stack overflow.
+    head -c 2000000 /dev/zero | tr '\0' '[' > "$out/BENCH_deep.json"
+    expect_exit 2 "$out" benchdiff-deep.txt "$benchdiff" \
+        "$out/BENCH_deep.json" "$out/BENCH_serving.json"
+    report_has "$out/benchdiff-deep.txt" "nesting deeper than"
 
     # Throttled self-test: 5 ms of sleep per query caps the sweep near
     # 200 QPS on any machine, far below the baseline floor at every
     # worker count, so the QPS gate must exit 1.
     "$tree/bench/serving_throughput" --quick --threads 1,2,4 \
         --throttle-us 5000 --out "$out/BENCH_serving_throttled.json"
-    expect_exit_1 "$out" benchdiff-throttled.txt "$benchdiff" \
+    expect_exit 1 "$out" benchdiff-throttled.txt "$benchdiff" \
         "$repo_root/bench/baselines/BENCH_serving.json" \
         "$out/BENCH_serving_throttled.json" --tolerance 15% \
         --metric-tolerance allocs_per_query=0
@@ -298,7 +308,7 @@ stage_kernels() {
     # exit 1 — proof the gate can actually fail.
     "$tree/bench/kernel_bench" --json "$out/BENCH_kernels_throttled.json" \
         --quick --throttle-us 500
-    expect_exit_1 "$out" benchdiff-throttled.txt "$benchdiff" \
+    expect_exit 1 "$out" benchdiff-throttled.txt "$benchdiff" \
         "$repo_root/bench/baselines/BENCH_kernels.json" \
         "$out/BENCH_kernels_throttled.json" --key point \
         --tolerance 40% --metric-tolerance allocs_per_call=0
@@ -340,7 +350,7 @@ stage_sim() {
     # exit 1, proof it can actually fail.
     "$tree/bench/sim_throughput" --queries 50000 --throttle-us 50000 \
         --out "$out/BENCH_sim_throttled.json"
-    expect_exit_1 "$out" benchdiff-throttled.txt "$benchdiff" \
+    expect_exit 1 "$out" benchdiff-throttled.txt "$benchdiff" \
         "$repo_root/bench/baselines/BENCH_sim.json" \
         "$out/BENCH_sim_throttled.json" --key point \
         --tolerance 60% --metric-tolerance allocs_per_query=0

@@ -2,16 +2,15 @@
 
 #include <cmath>
 #include <cstdint>
-#include <cstdio>
 #include <filesystem>
 #include <fstream>
 #include <iomanip>
 #include <limits>
 #include <ostream>
-#include <set>
 #include <sstream>
 
 #include "elasticrec/common/error.h"
+#include "elasticrec/common/json.h"
 #include "elasticrec/obs/perfetto.h"
 
 namespace erec::obs {
@@ -82,230 +81,29 @@ renderLabels(const Labels &labels, const std::string &extra_key = "",
     return out;
 }
 
-std::string
-escapeJson(const std::string &s)
-{
-    std::string out;
-    out.reserve(s.size());
-    for (char c : s) {
-        switch (c) {
-          case '"':
-            out += "\\\"";
-            break;
-          case '\\':
-            out += "\\\\";
-            break;
-          case '\n':
-            out += "\\n";
-            break;
-          case '\t':
-            out += "\\t";
-            break;
-          case '\r':
-            out += "\\r";
-            break;
-          default:
-            if (static_cast<unsigned char>(c) < 0x20) {
-                char buf[8];
-                std::snprintf(buf, sizeof(buf), "\\u%04x",
-                              static_cast<unsigned>(c));
-                out += buf;
-            } else {
-                out.push_back(c);
-            }
-        }
-    }
-    return out;
-}
-
-/** Minimal recursive-descent parser for the trace JSON-lines schema. */
-class JsonCursor
-{
-  public:
-    explicit JsonCursor(const std::string &text) : s_(text) {}
-
-    void skipWs()
-    {
-        while (i_ < s_.size() &&
-               (s_[i_] == ' ' || s_[i_] == '\t' || s_[i_] == '\r'))
-            ++i_;
-    }
-
-    bool atEnd()
-    {
-        skipWs();
-        return i_ >= s_.size();
-    }
-
-    char peek()
-    {
-        skipWs();
-        ERC_CHECK(i_ < s_.size(), "trace json: unexpected end of input");
-        return s_[i_];
-    }
-
-    void expect(char c)
-    {
-        ERC_CHECK(peek() == c, "trace json: expected '"
-                                   << c << "' at offset " << i_);
-        ++i_;
-    }
-
-    bool consume(char c)
-    {
-        if (!atEnd() && peek() == c) {
-            ++i_;
-            return true;
-        }
-        return false;
-    }
-
-    std::string parseString()
-    {
-        expect('"');
-        std::string out;
-        while (true) {
-            ERC_CHECK(i_ < s_.size(), "trace json: unterminated string");
-            char c = s_[i_++];
-            if (c == '"')
-                return out;
-            if (c != '\\') {
-                out.push_back(c);
-                continue;
-            }
-            ERC_CHECK(i_ < s_.size(), "trace json: dangling escape");
-            char e = s_[i_++];
-            switch (e) {
-              case '"':
-              case '\\':
-              case '/':
-                out.push_back(e);
-                break;
-              case 'n':
-                out.push_back('\n');
-                break;
-              case 't':
-                out.push_back('\t');
-                break;
-              case 'r':
-                out.push_back('\r');
-                break;
-              case 'u': {
-                ERC_CHECK(i_ + 4 <= s_.size(),
-                          "trace json: truncated \\u escape");
-                unsigned code = 0;
-                for (int k = 0; k < 4; ++k) {
-                    const char h = s_[i_++];
-                    code <<= 4;
-                    if (h >= '0' && h <= '9')
-                        code += static_cast<unsigned>(h - '0');
-                    else if (h >= 'a' && h <= 'f')
-                        code += static_cast<unsigned>(h - 'a' + 10);
-                    else if (h >= 'A' && h <= 'F')
-                        code += static_cast<unsigned>(h - 'A' + 10);
-                    else
-                        erec::fatal("trace json: bad \\u escape digit");
-                }
-                if (code < 0x80) {
-                    out.push_back(static_cast<char>(code));
-                } else if (code < 0x800) {
-                    out.push_back(
-                        static_cast<char>(0xC0 | (code >> 6)));
-                    out.push_back(
-                        static_cast<char>(0x80 | (code & 0x3F)));
-                } else {
-                    out.push_back(
-                        static_cast<char>(0xE0 | (code >> 12)));
-                    out.push_back(static_cast<char>(
-                        0x80 | ((code >> 6) & 0x3F)));
-                    out.push_back(
-                        static_cast<char>(0x80 | (code & 0x3F)));
-                }
-                break;
-              }
-              default:
-                erec::fatal("trace json: unsupported escape");
-            }
-        }
-    }
-
-    std::uint64_t parseUint()
-    {
-        skipWs();
-        const std::size_t start = i_;
-        std::uint64_t v = 0;
-        while (i_ < s_.size() && s_[i_] >= '0' && s_[i_] <= '9') {
-            const auto digit = static_cast<std::uint64_t>(s_[i_] - '0');
-            ERC_CHECK(v <= (UINT64_MAX - digit) / 10,
-                      "trace json: integer overflow at offset " << start);
-            v = v * 10 + digit;
-            ++i_;
-        }
-        ERC_CHECK(i_ > start,
-                  "trace json: expected integer at offset " << start);
-        return v;
-    }
-
-    std::int64_t parseInt()
-    {
-        const bool neg = consume('-');
-        const std::uint64_t v = parseUint();
-        ERC_CHECK(v <= static_cast<std::uint64_t>(INT64_MAX),
-                  "trace json: integer out of range at offset " << i_);
-        return neg ? -static_cast<std::int64_t>(v)
-                   : static_cast<std::int64_t>(v);
-    }
-
-  private:
-    const std::string &s_;
-    std::size_t i_ = 0;
-};
-
-/** Parse one erec_trace/v2 line; every key is required exactly
- *  once, so a truncated or foreign line cannot pass as an event. */
+/** Decode one erec_trace/v2 event. Every key is required exactly once
+ *  (the reader rejects duplicates), so a truncated or foreign line
+ *  cannot pass as an event. */
 SpanEvent
-parseEventLine(const std::string &line)
+parseEvent(const JsonValue &line)
 {
     constexpr std::size_t kNumKeys = 8;
-    JsonCursor cur(line);
+    if (line.kind != JsonValue::Kind::Object ||
+        line.object.size() != kNumKeys)
+        line.fail("an erec_trace/v2 event is an object with exactly " +
+                  std::to_string(kNumKeys) + " keys");
     SpanEvent e;
-    std::set<std::string> seen;
-    cur.expect('{');
-    while (cur.peek() != '}') {
-        if (!seen.empty())
-            cur.expect(',');
-        const std::string key = cur.parseString();
-        cur.expect(':');
-        ERC_CHECK(seen.insert(key).second,
-                  "trace json: duplicate key '" << key << "'");
-        if (key == "trace_id") {
-            e.traceId = cur.parseUint();
-        } else if (key == "span_id") {
-            e.spanId = cur.parseUint();
-        } else if (key == "parent_id") {
-            e.parentId = cur.parseUint();
-        } else if (key == "kind") {
-            const std::string kind = cur.parseString();
-            ERC_CHECK(kind == "span" || kind == "link",
-                      "trace json: unknown kind '" << kind << "'");
-            e.kind = kind == "span" ? EventKind::Span : EventKind::Link;
-        } else if (key == "name") {
-            e.name = internSpanName(cur.parseString());
-        } else if (key == "start_us") {
-            e.startUs = cur.parseInt();
-        } else if (key == "end_us") {
-            e.endUs = cur.parseInt();
-        } else if (key == "arg") {
-            e.arg = cur.parseUint();
-        } else {
-            erec::fatal("trace json: unknown key '" + key + "'");
-        }
-    }
-    cur.expect('}');
-    ERC_CHECK(cur.atEnd(), "trace json: trailing content on line");
-    ERC_CHECK(seen.size() == kNumKeys,
-              "trace json: an erec_trace/v2 event needs all "
-                  << kNumKeys << " keys");
+    e.traceId = line.at("trace_id").asUint64();
+    e.spanId = line.at("span_id").asUint64();
+    e.parentId = line.at("parent_id").asUint64();
+    const JsonValue &kind = line.at("kind");
+    if (kind.asString() != "span" && kind.string != "link")
+        kind.fail("unknown event kind '" + kind.string + "'");
+    e.kind = kind.string == "span" ? EventKind::Span : EventKind::Link;
+    e.name = internSpanName(line.at("name").asString());
+    e.startUs = line.at("start_us").asInt64();
+    e.endUs = line.at("end_us").asInt64();
+    e.arg = line.at("arg").asUint64();
     return e;
 }
 
@@ -388,7 +186,7 @@ writeTraceJsonLines(std::ostream &os, const std::vector<SpanEvent> &events)
         os << "{\"trace_id\":" << e.traceId << ",\"span_id\":" << e.spanId
            << ",\"parent_id\":" << e.parentId << ",\"kind\":\""
            << (e.kind == EventKind::Link ? "link" : "span")
-           << "\",\"name\":\"" << escapeJson(spanName(e.name))
+           << "\",\"name\":\"" << jsonEscape(spanName(e.name))
            << "\",\"start_us\":" << e.startUs << ",\"end_us\":" << e.endUs
            << ",\"arg\":" << e.arg << "}\n";
 }
@@ -397,13 +195,9 @@ std::vector<SpanEvent>
 readTraceJsonLines(const std::string &text)
 {
     std::vector<SpanEvent> events;
-    std::istringstream iss(text);
-    std::string line;
-    while (std::getline(iss, line)) {
-        if (line.find_first_not_of(" \t\r") == std::string::npos)
-            continue;
-        events.push_back(parseEventLine(line));
-    }
+    forEachJsonLine(text, [&](const JsonValue &line) {
+        events.push_back(parseEvent(line));
+    });
     return events;
 }
 

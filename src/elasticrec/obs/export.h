@@ -46,7 +46,10 @@ void writeTraceJsonLines(std::ostream &os,
 
 /**
  * Parse erec_trace/v2 JSON lines as written by writeTraceJsonLines,
- * interning every span name. Raises ConfigError on malformed input.
+ * interning every span name. Each line goes through parseJson and
+ * must hold the eight keys exactly once, ids as exact unsigned and
+ * times as signed 64-bit integers. Raises ConfigError on malformed
+ * input.
  */
 std::vector<SpanEvent> readTraceJsonLines(const std::string &text);
 

@@ -11,10 +11,13 @@
  * the UI draws the arrow from a query to the coalesced batch it
  * waited on.
  *
- * The emitter writes one event per line, globally sorted by timestamp,
- * which is what the erec_trace/v2 perfetto profile (validatePerfetto)
- * checks: well-formed event lines, monotonic timestamps, and every
- * flow id resolving to a matched start/finish pair.
+ * The emitter writes one event per line, globally sorted by timestamp.
+ * The erec_trace/v2 perfetto profile (validatePerfettoJson) parses the
+ * whole document with parseJson, then checks a `{"traceEvents":[...]}`
+ * envelope, every event's string name/ph and 64-bit integer
+ * ts/pid/tid (plus dur >= 0 for "X", id and cat for flows),
+ * monotonic timestamps, and every flow id resolving to a matched
+ * start/finish pair.
  */
 
 #include <iosfwd>

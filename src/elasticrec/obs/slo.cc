@@ -1,12 +1,14 @@
 #include "elasticrec/obs/slo.h"
 
 #include <cctype>
+#include <cmath>
 #include <cstdlib>
 #include <ostream>
 #include <sstream>
 #include <utility>
 
 #include "elasticrec/common/error.h"
+#include "elasticrec/common/json.h"
 
 namespace erec::obs {
 
@@ -294,13 +296,50 @@ SloTracker::firing(const std::string &name) const
 
 namespace {
 
+/** A finite value as a JSON number; a non-finite one, which JSON
+ *  cannot spell as a number, as the Prometheus string "+Inf", "-Inf"
+ *  or "NaN". */
 std::string
 formatAlertValue(double v)
 {
+    if (std::isnan(v))
+        return "\"NaN\"";
+    if (std::isinf(v))
+        return v > 0 ? "\"+Inf\"" : "\"-Inf\"";
     std::ostringstream oss;
     oss.precision(17);
     oss << v;
     return oss.str();
+}
+
+double
+alertValue(const JsonValue &v)
+{
+    if (v.kind == JsonValue::Kind::Number)
+        return v.number;
+    const std::string &s = v.asString();
+    if (s != "+Inf" && s != "-Inf" && s != "NaN")
+        v.fail("alert value must be a number, \"+Inf\", \"-Inf\" or "
+               "\"NaN\"");
+    return std::strtod(s.c_str(), nullptr);
+}
+
+/** Decode one alert line: exactly the four keys the writer emits. */
+AlertEvent
+parseAlert(const JsonValue &line)
+{
+    if (line.kind != JsonValue::Kind::Object || line.object.size() != 4)
+        line.fail("an alert event is an object with exactly the keys "
+                  "t_us, alert, state and value");
+    AlertEvent e;
+    e.time = line.at("t_us").asInt64();
+    e.alert = line.at("alert").asString();
+    const JsonValue &state = line.at("state");
+    if (state.asString() != "firing" && state.string != "resolved")
+        state.fail("bad alert state '" + state.string + "'");
+    e.firing = state.string == "firing";
+    e.value = alertValue(line.at("value"));
+    return e;
 }
 
 } // namespace
@@ -309,8 +348,9 @@ void
 writeAlertJsonLines(std::ostream &os, const std::vector<AlertEvent> &events)
 {
     for (const AlertEvent &e : events) {
-        os << "{\"t_us\":" << e.time << ",\"alert\":\"" << e.alert
-           << "\",\"state\":\"" << (e.firing ? "firing" : "resolved")
+        os << "{\"t_us\":" << e.time << ",\"alert\":\""
+           << jsonEscape(e.alert) << "\",\"state\":\""
+           << (e.firing ? "firing" : "resolved")
            << "\",\"value\":" << formatAlertValue(e.value) << "}\n";
     }
 }
@@ -323,65 +363,13 @@ toAlertJsonLines(const std::vector<AlertEvent> &events)
     return oss.str();
 }
 
-namespace {
-
-/** Extract `"key":` position and return the offset just past it. */
-std::size_t
-fieldOffset(const std::string &line, const std::string &key)
-{
-    const std::string needle = "\"" + key + "\":";
-    const std::size_t pos = line.find(needle);
-    ERC_CHECK(pos != std::string::npos,
-              "alert json: missing field '" << key << "' in: " << line);
-    return pos + needle.size();
-}
-
-std::string
-stringField(const std::string &line, const std::string &key)
-{
-    std::size_t i = fieldOffset(line, key);
-    ERC_CHECK(i < line.size() && line[i] == '"',
-              "alert json: field '" << key << "' is not a string");
-    ++i;
-    const std::size_t end = line.find('"', i);
-    ERC_CHECK(end != std::string::npos,
-              "alert json: unterminated string for '" << key << "'");
-    return line.substr(i, end - i);
-}
-
-double
-numberField(const std::string &line, const std::string &key)
-{
-    const std::size_t i = fieldOffset(line, key);
-    const char *begin = line.c_str() + i;
-    char *end = nullptr;
-    const double v = std::strtod(begin, &end);
-    ERC_CHECK(end != begin,
-              "alert json: field '" << key << "' is not a number");
-    return v;
-}
-
-} // namespace
-
 std::vector<AlertEvent>
 readAlertJsonLines(const std::string &text)
 {
     std::vector<AlertEvent> events;
-    std::istringstream iss(text);
-    std::string line;
-    while (std::getline(iss, line)) {
-        if (line.find_first_not_of(" \t\r") == std::string::npos)
-            continue;
-        AlertEvent e;
-        e.time = static_cast<SimTime>(numberField(line, "t_us"));
-        e.alert = stringField(line, "alert");
-        const std::string state = stringField(line, "state");
-        ERC_CHECK(state == "firing" || state == "resolved",
-                  "alert json: bad state '" << state << "'");
-        e.firing = state == "firing";
-        e.value = numberField(line, "value");
-        events.push_back(std::move(e));
-    }
+    forEachJsonLine(text, [&](const JsonValue &line) {
+        events.push_back(parseAlert(line));
+    });
     return events;
 }
 

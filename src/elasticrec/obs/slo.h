@@ -149,13 +149,16 @@ class SloTracker
 /**
  * Alert-log JSON lines: one event per line,
  * `{"t_us":...,"alert":"...","state":"firing|resolved","value":...}`.
+ * The alert name is JSON-escaped; a non-finite value is written as the
+ * string "+Inf", "-Inf" or "NaN".
  */
 void writeAlertJsonLines(std::ostream &os,
                          const std::vector<AlertEvent> &events);
 std::string toAlertJsonLines(const std::vector<AlertEvent> &events);
 
-/** Strict reader for writeAlertJsonLines output (ConfigError on
- *  malformed input). */
+/** Strict reader for writeAlertJsonLines output: each line goes
+ *  through parseJson and must hold exactly the four keys (ConfigError
+ *  on malformed input). */
 std::vector<AlertEvent> readAlertJsonLines(const std::string &text);
 
 } // namespace erec::obs

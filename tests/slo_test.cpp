@@ -1,6 +1,8 @@
 // Tests for the SLO alert engine: rule grammar, hold-for firing
 // semantics, transition counters/log, and the alert JSONL round trip.
 
+#include <cmath>
+#include <limits>
 #include <map>
 #include <sstream>
 
@@ -218,6 +220,40 @@ TEST(AlertJson, RoundTrips)
     EXPECT_EQ(erec::obs::toAlertJsonLines(parsed), text);
 }
 
+TEST(AlertJson, RoundTripsNamesThatNeedEscaping)
+{
+    const std::vector<AlertEvent> events = {
+        {1 * units::kSecond, "p95 \"frontend\"", true, 312.5},
+        {2 * units::kSecond, "back\\slash", true, 1.0},
+        {3 * units::kSecond, "two\nlines", false, 0.0},
+    };
+    const std::string text = erec::obs::toAlertJsonLines(events);
+    const auto parsed = erec::obs::readAlertJsonLines(text);
+    ASSERT_EQ(parsed.size(), events.size());
+    for (std::size_t i = 0; i < events.size(); ++i)
+        EXPECT_EQ(parsed[i].alert, events[i].alert);
+    EXPECT_EQ(erec::obs::toAlertJsonLines(parsed), text);
+}
+
+TEST(AlertJson, RoundTripsNonFiniteValues)
+{
+    const double inf = std::numeric_limits<double>::infinity();
+    const std::vector<AlertEvent> events = {
+        {1 * units::kSecond, "a", true, inf},
+        {2 * units::kSecond, "a", false, -inf},
+        {3 * units::kSecond, "b", true,
+         std::numeric_limits<double>::quiet_NaN()},
+    };
+    const std::string text = erec::obs::toAlertJsonLines(events);
+    EXPECT_NE(text.find("\"value\":\"+Inf\""), std::string::npos) << text;
+    const auto parsed = erec::obs::readAlertJsonLines(text);
+    ASSERT_EQ(parsed.size(), 3u);
+    EXPECT_EQ(parsed[0].value, inf);
+    EXPECT_EQ(parsed[1].value, -inf);
+    EXPECT_TRUE(std::isnan(parsed[2].value));
+    EXPECT_EQ(erec::obs::toAlertJsonLines(parsed), text);
+}
+
 TEST(AlertJson, RejectsMalformedLines)
 {
     EXPECT_THROW(erec::obs::readAlertJsonLines("{\"alert\":\"x\"}"),
@@ -226,6 +262,23 @@ TEST(AlertJson, RejectsMalformedLines)
         erec::obs::readAlertJsonLines(
             "{\"t_us\":1,\"alert\":\"x\",\"state\":\"bad\",\"value\":0}"),
         erec::ConfigError);
+    // Lines must be JSON, with exactly the writer's keys.
+    const std::string good =
+        "{\"t_us\":1,\"alert\":\"x\",\"state\":\"firing\",\"value\":0}";
+    EXPECT_NO_THROW(erec::obs::readAlertJsonLines(good));
+    EXPECT_THROW(erec::obs::readAlertJsonLines(good + " trailing"),
+                 erec::ConfigError);
+    EXPECT_THROW(erec::obs::readAlertJsonLines(
+                     "garbage \"t_us\":1,\"alert\":\"x\","
+                     "\"state\":\"firing\",\"value\":0"),
+                 erec::ConfigError);
+    std::string extra = good;
+    extra.insert(extra.size() - 1, ",\"more\":1");
+    EXPECT_THROW(erec::obs::readAlertJsonLines(extra), erec::ConfigError);
+    std::string bad_value = good;
+    bad_value.replace(bad_value.find("\"value\":0"), 9, "\"value\":\"inf\"");
+    EXPECT_THROW(erec::obs::readAlertJsonLines(bad_value),
+                 erec::ConfigError);
 }
 
 } // namespace

@@ -6,10 +6,9 @@
 #include <sstream>
 
 #include "elasticrec/common/error.h"
+#include "elasticrec/common/json.h"
 
 namespace erec::archlint {
-
-using analyze::jsonEscape;
 
 namespace {
 

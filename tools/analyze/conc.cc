@@ -8,10 +8,11 @@
 #include <sstream>
 #include <utility>
 
+#include "elasticrec/common/json.h"
+
 namespace erec::conclint {
 
 using analyze::isIdentChar;
-using analyze::jsonEscape;
 using analyze::trim;
 
 namespace {

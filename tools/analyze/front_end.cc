@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cctype>
 #include <limits>
-#include <sstream>
 
 namespace erec::analyze {
 
@@ -50,31 +49,6 @@ keywords()
         "co_yield", "static_assert", "noexcept", "typeid", "assert",
     };
     return kKeywords;
-}
-
-std::string
-jsonEscape(const std::string &text)
-{
-    std::string out;
-    out.reserve(text.size() + 8);
-    for (const char c : text) {
-        switch (c) {
-          case '"': out += "\\\""; break;
-          case '\\': out += "\\\\"; break;
-          case '\n': out += "\\n"; break;
-          case '\t': out += "\\t"; break;
-          default:
-            if (static_cast<unsigned char>(c) < 0x20) {
-                std::ostringstream oss;
-                oss << "\\u00" << std::hex << (c < 16 ? "0" : "")
-                    << static_cast<int>(c);
-                out += oss.str();
-            } else {
-                out.push_back(c);
-            }
-        }
-    }
-    return out;
 }
 
 bool

@@ -36,9 +36,6 @@ bool isIdentChar(char c);
 /** Keywords that can precede a `(` but never name a function. */
 const std::set<std::string> &keywords();
 
-/** Escape `text` for a JSON string literal (no surrounding quotes). */
-std::string jsonEscape(const std::string &text);
-
 /** True for files under src/elasticrec/runtime/, the blessed
  *  concurrency module whose queues must lock and block. */
 bool isRuntimeFile(const std::string &path);

@@ -8,9 +8,9 @@
 #include <set>
 #include <sstream>
 
-namespace erec::hotpath {
+#include "elasticrec/common/json.h"
 
-using analyze::jsonEscape;
+namespace erec::hotpath {
 
 namespace {
 

@@ -79,9 +79,9 @@ main(int argc, char **argv)
             metric_tolerances.insert(
                 erec::benchdiff::parseMetricTolerance(m));
         const auto baseline =
-            erec::benchdiff::parseJson(readFile(baseline_path));
+            erec::parseJson(readFile(baseline_path));
         const auto current =
-            erec::benchdiff::parseJson(readFile(current_path));
+            erec::parseJson(readFile(current_path));
         const auto report =
             erec::benchdiff::compare(baseline, current, tolerance,
                                      metric_tolerances, key);
